@@ -34,6 +34,10 @@ double DiurnalArrivals::probability_at(sim::Slot t) const noexcept {
   return std::clamp(mean_probability_ * factor, 0.0, 1.0);
 }
 
+double DiurnalArrivals::max_probability() const noexcept {
+  return std::clamp(mean_probability_ * (1.0 + swing_), 0.0, 1.0);
+}
+
 std::optional<AppArrival> DiurnalArrivals::poll(sim::Slot t, util::Rng& rng) {
   if (!rng.bernoulli(probability_at(t))) return std::nullopt;
   return AppArrival{random_app(rng)};

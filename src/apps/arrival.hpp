@@ -68,6 +68,14 @@ class DiurnalArrivals final : public ArrivalProcess {
   /// Instantaneous probability at slot `t` (exposed for tests).
   [[nodiscard]] double probability_at(sim::Slot t) const noexcept;
 
+  /// A floating-point upper bound of probability_at over every slot: the
+  /// peak rate mean * (1 + swing), clamped to [0, 1]. Exact as a bound, not
+  /// only in real arithmetic: cos <= 1 and IEEE rounding is monotone, so
+  /// fl(mean * fl(1 + fl(swing * cos))) <= fl(mean * fl(1 + swing)) for
+  /// mean >= 0 and swing in [0, 1] (a negative mean clamps both to 0).
+  /// Shared by the legacy walk's gate and the stream path's thinning.
+  [[nodiscard]] double max_probability() const noexcept;
+
  private:
   double mean_probability_;
   double swing_;

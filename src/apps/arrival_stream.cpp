@@ -14,9 +14,23 @@ double ArrivalStreamParams::probability_at(sim::Slot t) const noexcept {
 }
 
 double ArrivalStreamParams::max_probability() const noexcept {
-  const double swing_clamped = std::clamp(swing, 0.0, 1.0);
-  const double peak = diurnal ? probability * (1.0 + swing_clamped) : probability;
-  return std::clamp(peak, 0.0, 1.0);
+  if (!diurnal) return std::clamp(probability, 0.0, 1.0);
+  return DiurnalArrivals{probability, swing, slot_seconds, peak_hour}
+      .max_probability();
+}
+
+void walk_legacy_arrivals(
+    const ArrivalStreamParams& params, sim::Slot horizon, util::Rng& rng,
+    const std::function<void(sim::Slot, device::AppKind)>& on_arrival) {
+  const double p_hi = params.max_probability();
+  for (sim::Slot t = 0; t < horizon; ++t) {
+    // The draw rng.bernoulli(params.probability_at(t)) would make. One at
+    // or above the envelope cannot pass the exact test, so the diurnal
+    // fmod + cos run only for the few draws under it.
+    const double u = rng.uniform();
+    if (u >= p_hi || !(u < params.probability_at(t))) continue;
+    on_arrival(t, random_app(rng));
+  }
 }
 
 void stream_arrivals_next(const ArrivalStreamParams& params,

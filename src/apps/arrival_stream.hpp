@@ -19,15 +19,20 @@
 // user did never perturb it, and a lazily consumed stream is bit-identical
 // to the same stream materialized up front (the stream-parity test battery
 // pins this).
+//
+// The legacy walk itself (walk_legacy_arrivals) lives here too, so both
+// engines share one arrival law and one envelope.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <vector>
 
 #include "apps/arrival.hpp"
 #include "device/profiles.hpp"
 #include "sim/clock.hpp"
+#include "util/rng.hpp"
 #include "util/stream_rng.hpp"
 
 namespace fedco::apps {
@@ -54,9 +59,22 @@ struct ArrivalStreamParams {
   /// diurnal, the flat rate otherwise).
   [[nodiscard]] double probability_at(sim::Slot t) const noexcept;
 
-  /// The thinning envelope: the peak instantaneous rate, clamped to [0,1].
+  /// The envelope over probability_at (DiurnalArrivals::max_probability
+  /// when diurnal, the clamped flat rate otherwise): the stream path thins
+  /// against it and the legacy walk gates on it.
   [[nodiscard]] double max_probability() const noexcept;
 };
+
+/// The legacy per-slot walk over [0, horizon) on a util::Rng: one uniform
+/// draw per slot, and one random_app draw on each arrival, reported as
+/// on_arrival(slot, app). Draw for draw the Bernoulli walk
+/// `rng.bernoulli(params.probability_at(t))`, so the events and the final
+/// RNG state are identical to it; draws at or above max_probability() are
+/// rejected before the rate is evaluated (see docs/algorithms.md,
+/// "Envelope-gated legacy walk").
+void walk_legacy_arrivals(
+    const ArrivalStreamParams& params, sim::Slot horizon, util::Rng& rng,
+    const std::function<void(sim::Slot, device::AppKind)>& on_arrival);
 
 /// Iteration state over one user's arrival stream. {rng.counter, scan} is
 /// the complete position, so a cursor can be copied, compared against an

@@ -27,6 +27,18 @@ double read_double(const util::JsonValue& value, const std::string& key) {
   return util::json_read_double(value, key, kLoader);
 }
 
+/// A number in [0, 1] (a probability or the diurnal swing); `field` names
+/// it in the error, e.g. "per_user[3].diurnal_swing".
+double read_unit_interval(const util::JsonValue& value, const std::string& key,
+                          const std::string& field) {
+  const double number = read_double(value, key);
+  if (!(number >= 0.0 && number <= 1.0)) {
+    throw std::invalid_argument{std::string{kLoader} + ": '" + field +
+                                "' must be in [0, 1]"};
+  }
+  return number;
+}
+
 bool read_bool(const util::JsonValue& value, const std::string& key) {
   return util::json_read_bool(value, key, kLoader);
 }
@@ -129,11 +141,12 @@ void read_per_user_entry(const util::JsonValue& object, const std::string& where
           out.device =
               scenario::parse_device_kind_token(read_string(value, key));
         } else if (key == "arrival_probability") {
-          out.arrival_probability = read_double(value, key);
+          out.arrival_probability =
+              read_unit_interval(value, key, where + "." + key);
         } else if (key == "diurnal") {
           out.diurnal = read_bool(value, key);
         } else if (key == "diurnal_swing") {
-          out.diurnal_swing = read_double(value, key);
+          out.diurnal_swing = read_unit_interval(value, key, where + "." + key);
         } else if (key == "diurnal_peak_hour") {
           out.diurnal_peak_hour = read_double(value, key);
         } else if (key == "use_lte") {
@@ -464,11 +477,11 @@ ExperimentConfig config_from_json(const std::string& text) {
         } else if (key == "seed") {
           config.seed = read_uint(value, key);
         } else if (key == "arrival_probability") {
-          config.arrival_probability = read_double(value, key);
+          config.arrival_probability = read_unit_interval(value, key, key);
         } else if (key == "diurnal") {
           config.diurnal = read_bool(value, key);
         } else if (key == "diurnal_swing") {
-          config.diurnal_swing = read_double(value, key);
+          config.diurnal_swing = read_unit_interval(value, key, key);
         } else if (key == "arrival_trace_path") {
           config.arrival_trace_path = read_string(value, key);
         } else if (key == "arrival_trace_dir") {

@@ -6,7 +6,9 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <stdexcept>
+#include <string>
 
 #include "apps/arrival.hpp"
 #include "apps/arrival_stream.hpp"
@@ -221,6 +223,22 @@ nn::Network make_model(ModelKind kind, const data::SynthCifarConfig& data_cfg,
   throw std::invalid_argument{"make_model: unknown kind"};
 }
 
+/// Reject arrival knobs outside the law's domain before the run starts. A
+/// probability outside [0, 1] would be clamped slot by slot, and
+/// DiurnalArrivals clamps the swing, so either would otherwise simulate a
+/// different fleet than the one configured. `who` prefixes the field name.
+void check_arrival_knobs(std::optional<double> probability,
+                         std::optional<double> swing, const char* who) {
+  if (probability && !(*probability >= 0.0 && *probability <= 1.0)) {
+    throw std::invalid_argument{std::string{"run_experiment: "} + who +
+                                "arrival_probability must be in [0, 1]"};
+  }
+  if (swing && !(*swing >= 0.0 && *swing <= 1.0)) {
+    throw std::invalid_argument{std::string{"run_experiment: "} + who +
+                                "diurnal_swing must be in [0, 1]"};
+  }
+}
+
 /// Scheme-agnostic event-driven slot driver. All scheduling-policy logic
 /// lives behind the core::Scheduler strategy (src/core/schedulers/); the
 /// driver advances devices, app sessions, energy meters, the gap dynamics,
@@ -263,6 +281,7 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
       throw std::invalid_argument{
           "run_experiment: record_interval must be positive"};
     }
+    check_arrival_knobs(cfg.arrival_probability, cfg.diurnal_swing, "");
     if (!cfg.per_user.empty() && cfg.per_user.size() != cfg.num_users) {
       throw std::invalid_argument{
           "run_experiment: per_user must be empty or hold num_users entries"};
@@ -663,6 +682,8 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
         throw std::invalid_argument{
             "run_experiment: per_user presence window is empty"};
       }
+      check_arrival_knobs(pu.arrival_probability, pu.diurnal_swing,
+                          "per_user ");
       if (cfg_.arrival_streams) {
         u.rng = util::Rng{util::stream_key(
             cfg_.seed, i,
@@ -721,11 +742,7 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
       u.battery = device::Battery{cfg_.battery};
       u.thermal = device::ThermalModel{cfg_.thermal};
       if (stream_mode) {
-        const apps::ArrivalStreamParams params{
-            pu.arrival_probability.value_or(cfg_.arrival_probability),
-            pu.diurnal.value_or(cfg_.diurnal),
-            pu.diurnal_swing.value_or(cfg_.diurnal_swing),
-            pu.diurnal_peak_hour, cfg_.slot_seconds};
+        const apps::ArrivalStreamParams params = arrival_params(pu);
         u.arrival_key = util::stream_key(
             cfg_.seed, i,
             static_cast<std::uint64_t>(apps::StreamConcern::kArrivals));
@@ -797,11 +814,24 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
     return scenario::PerUserConfig{};
   }
 
+  /// User i's arrival law: the per-user overrides over the config values.
+  [[nodiscard]] apps::ArrivalStreamParams arrival_params(
+      const scenario::PerUserConfig& pu) const {
+    return {pu.arrival_probability.value_or(cfg_.arrival_probability),
+            pu.diurnal.value_or(cfg_.diurnal),
+            pu.diurnal_swing.value_or(cfg_.diurnal_swing),
+            pu.diurnal_peak_hour, cfg_.slot_seconds};
+  }
+
   /// Legacy script generation, appended to the shared arena as the slice
   /// [u.script_begin, u.script_end). Draw-for-draw the historical per-user
-  /// vector build: the full-horizon Bernoulli walk runs even for churned
-  /// users (identical RNG consumption across presence windows) and the app
-  /// draw fires on every arrival; only in-window events are stored.
+  /// vector build: apps::walk_legacy_arrivals runs the full-horizon
+  /// Bernoulli walk even for churned users (identical RNG consumption
+  /// across presence windows) and the app draw fires on every arrival; only
+  /// in-window events are stored. The walk draws one uniform per user-slot
+  /// but evaluates the diurnal rate (fmod + cos) only for draws under the
+  /// rate's envelope, so the O(users × horizon) setup cost is one
+  /// xoshiro step per user-slot; removing that too needs stream RNG.
   void generate_script(UserState& u, const scenario::PerUserConfig& pu) {
     u.script_begin = script_arena_.size();
     // Storage filter: only events inside one of the user's presence
@@ -833,19 +863,11 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
         if (in_any_window(e.at)) script_arena_.push_back(e);
       }
     } else {
-      const double p =
-          pu.arrival_probability.value_or(cfg_.arrival_probability);
-      const bool diurnal_on = pu.diurnal.value_or(cfg_.diurnal);
-      const apps::DiurnalArrivals diurnal{
-          p, pu.diurnal_swing.value_or(cfg_.diurnal_swing), cfg_.slot_seconds,
-          pu.diurnal_peak_hour};
-      for (sim::Slot t = 0; t < cfg_.horizon_slots; ++t) {
-        const double prob = diurnal_on ? diurnal.probability_at(t) : p;
-        if (u.rng.bernoulli(prob)) {
-          const device::AppKind app = apps::random_app(u.rng);
-          if (in_any_window(t)) script_arena_.push_back({t, app});
-        }
-      }
+      apps::walk_legacy_arrivals(
+          arrival_params(pu), cfg_.horizon_slots, u.rng,
+          [&](sim::Slot t, device::AppKind app) {
+            if (in_any_window(t)) script_arena_.push_back({t, app});
+          });
     }
     u.script_end = script_arena_.size();
   }

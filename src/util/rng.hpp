@@ -115,6 +115,10 @@ class Rng {
     return Rng{(*this)() ^ 0xA02BDBF7BB3C0A7ULL};
   }
 
+  /// Equal generators (state and cached normal spare) produce identical
+  /// sequences from here on.
+  friend bool operator==(const Rng&, const Rng&) = default;
+
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
     return (x << k) | (x >> (64 - k));

@@ -5,6 +5,8 @@
 
 #include <cstdio>
 #include <fstream>
+#include <stdexcept>
+#include <string>
 
 #include "core/config_io.hpp"
 #include "core/result_io.hpp"
@@ -184,6 +186,55 @@ TEST(ConfigIo, PerUserRoundTripReproducesSeededResult) {
   ASSERT_TRUE(reloaded == cfg);
   EXPECT_EQ(testing::fingerprint(run_experiment(reloaded)),
             testing::fingerprint(run_experiment(cfg)));
+}
+
+/// config_from_json must throw std::invalid_argument naming `field`.
+void expect_rejected(const std::string& json, const std::string& field) {
+  try {
+    (void)config_from_json(json);
+    ADD_FAILURE() << json << ": accepted";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string{error.what()}.find("'" + field + "'"),
+              std::string::npos)
+        << error.what();
+  }
+}
+
+// Non-finite numbers never reach these readers: parse_json rejects 1e999.
+constexpr const char* kOutsideUnitInterval[] = {"-0.1", "1.5", "-1e-300",
+                                                 "1.0000001"};
+
+TEST(ConfigIo, RejectsDiurnalSwingOutsideUnitInterval) {
+  for (const char* value : kOutsideUnitInterval) {
+    expect_rejected(std::string{R"({"diurnal_swing":)"} + value + "}",
+                    "diurnal_swing");
+  }
+  EXPECT_EQ(config_from_json(R"({"diurnal_swing":1})").diurnal_swing, 1.0);
+}
+
+TEST(ConfigIo, RejectsArrivalProbabilityOutsideUnitInterval) {
+  for (const char* value : kOutsideUnitInterval) {
+    expect_rejected(std::string{R"({"arrival_probability":)"} + value + "}",
+                    "arrival_probability");
+  }
+  EXPECT_EQ(config_from_json(R"({"arrival_probability":0})").arrival_probability,
+            0.0);
+}
+
+TEST(ConfigIo, RejectsPerUserDiurnalSwingOutsideUnitInterval) {
+  for (const char* value : kOutsideUnitInterval) {
+    expect_rejected(
+        std::string{R"({"per_user":[{},{"diurnal_swing":)"} + value + "}]}",
+        "per_user[1].diurnal_swing");
+  }
+}
+
+TEST(ConfigIo, RejectsPerUserArrivalProbabilityOutsideUnitInterval) {
+  for (const char* value : kOutsideUnitInterval) {
+    expect_rejected(std::string{R"({"per_user":[{},{"arrival_probability":)"} +
+                        value + "}]}",
+                    "per_user[1].arrival_probability");
+  }
 }
 
 TEST(ConfigIo, OutOfRangeIntegersThrow) {

@@ -5,6 +5,10 @@
 
 #include <cmath>
 #include <fstream>
+#include <limits>
+#include <memory>
+#include <stdexcept>
+#include <string>
 
 #include "core/experiment.hpp"
 #include "util/stats.hpp"
@@ -159,6 +163,89 @@ TEST(Experiment, InvalidConfigsThrow) {
   cfg = fast_config(SchedulerKind::kOnline);
   cfg.horizon_slots = 0;
   EXPECT_THROW(run_experiment(cfg), std::invalid_argument);
+}
+
+/// run_experiment must throw std::invalid_argument naming `field`.
+void expect_rejected(const ExperimentConfig& cfg, const std::string& field) {
+  try {
+    (void)run_experiment(cfg);
+    ADD_FAILURE() << field << ": accepted";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string{error.what()}.find(field), std::string::npos)
+        << error.what();
+  }
+}
+
+constexpr double kOutsideUnitInterval[] = {
+    -0.1, 1.5, std::numeric_limits<double>::quiet_NaN(),
+    std::numeric_limits<double>::infinity()};
+
+TEST(Experiment, RejectsDiurnalSwingOutsideUnitInterval) {
+  for (const double swing : kOutsideUnitInterval) {
+    auto cfg = fast_config(SchedulerKind::kOnline);
+    cfg.diurnal = true;
+    cfg.diurnal_swing = swing;
+    expect_rejected(cfg, "diurnal_swing");
+  }
+}
+
+TEST(Experiment, RejectsArrivalProbabilityOutsideUnitInterval) {
+  for (const double p : kOutsideUnitInterval) {
+    auto cfg = fast_config(SchedulerKind::kOnline);
+    cfg.arrival_probability = p;
+    expect_rejected(cfg, "arrival_probability");
+  }
+}
+
+TEST(Experiment, RejectsPerUserDiurnalSwingOutsideUnitInterval) {
+  for (const double swing : kOutsideUnitInterval) {
+    auto cfg = fast_config(SchedulerKind::kOnline);
+    cfg.per_user.resize(cfg.num_users);
+    cfg.per_user[3].diurnal = true;
+    cfg.per_user[3].diurnal_swing = swing;
+    expect_rejected(cfg, "per_user diurnal_swing");
+  }
+}
+
+TEST(Experiment, RejectsPerUserArrivalProbabilityOutsideUnitInterval) {
+  for (const double p : kOutsideUnitInterval) {
+    auto cfg = fast_config(SchedulerKind::kOnline);
+    cfg.per_user.resize(cfg.num_users);
+    cfg.per_user[3].arrival_probability = p;
+    expect_rejected(cfg, "per_user arrival_probability");
+  }
+}
+
+TEST(Experiment, RejectsFleetArenaDiurnalSwingOutsideUnitInterval) {
+  for (const double swing : kOutsideUnitInterval) {
+    auto cfg = fast_config(SchedulerKind::kOnline);
+    auto fleet = std::make_shared<scenario::FleetArena>(cfg.num_users);
+    fleet->set_diurnal(7, true);
+    fleet->set_diurnal_swing(7, swing);
+    cfg.fleet = fleet;
+    expect_rejected(cfg, "per_user diurnal_swing");
+  }
+}
+
+TEST(Experiment, RejectsFleetArenaArrivalProbabilityOutsideUnitInterval) {
+  for (const double p : kOutsideUnitInterval) {
+    auto cfg = fast_config(SchedulerKind::kOnline);
+    auto fleet = std::make_shared<scenario::FleetArena>(cfg.num_users);
+    fleet->set_arrival_probability(7, p);
+    cfg.fleet = fleet;
+    expect_rejected(cfg, "per_user arrival_probability");
+  }
+}
+
+TEST(Experiment, UnitIntervalEdgesOfArrivalKnobsRun) {
+  auto cfg = fast_config(SchedulerKind::kOnline);
+  cfg.horizon_slots = 300;
+  cfg.diurnal = true;
+  for (const double edge : {0.0, 1.0}) {
+    cfg.diurnal_swing = edge;
+    cfg.arrival_probability = edge;
+    EXPECT_NO_THROW((void)run_experiment(cfg)) << edge;
+  }
 }
 
 TEST(Experiment, TracesAreRecorded) {

@@ -464,12 +464,12 @@ void write_json(const std::string& path, bool smoke, std::size_t jobs,
 int main(int argc, char** argv) {
   try {
     const util::ArgParser args{argc, argv};
-    const auto jobs = static_cast<std::size_t>(args.get_int("jobs", 0));
+    const auto jobs = static_cast<std::size_t>(args.get_count("jobs", 0));
     const bool smoke = args.get_bool("smoke", false);
     const std::string out_path = args.get("out", "BENCH_scale.json");
     const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
     const auto repeat =
-        static_cast<std::size_t>(std::max<std::int64_t>(args.get_int("repeat", 1), 1));
+        static_cast<std::size_t>(std::max<std::uint64_t>(args.get_count("repeat", 1), 1));
     const bool legacy_planner = args.get_bool("legacy-planner", false);
     const bool folded_g = args.get_bool("folded-g", false);
     const bool events = args.get_bool("events", true);

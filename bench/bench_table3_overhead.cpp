@@ -10,11 +10,17 @@
 //      evaluation time charged to the meter.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <array>
+#include <cmath>
+#include <cstdint>
 #include <iostream>
+#include <vector>
 
 #include "core/experiment.hpp"
 #include "core/offline_planner.hpp"
 #include "core/online_scheduler.hpp"
+#include "util/rng.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -36,6 +42,72 @@ void BM_OnlineDecision(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_OnlineDecision);
+
+/// The idle screen of the batched decide on a 1M-user fleet's hot set:
+/// per iteration, the 36 per-class floors at H(t) > 0 plus the screen of
+/// 60k ascending members spread over the fleet (one gap row read and one
+/// floor compare each). Gaps are drawn so ~90% of members fall below their
+/// class floor, the share the fleet_1m.json online run screens.
+void BM_OnlineDecideScreen(benchmark::State& state) {
+  constexpr std::size_t kFleet = 1'000'000;
+  constexpr std::size_t kHot = 60'000;
+  constexpr std::size_t kColumns = device::kAppKinds + 1;
+  constexpr std::size_t kClasses = device::kDeviceKinds * kColumns;
+  core::OnlineScheduler sched{{4000.0, 500.0, 0.05, 1.0, 0.05, 0.9}};
+  sched.update_queues(20.0, 2.0, 900.0);  // Q = 18, H = 400
+  const double q = sched.queues().q();
+  const double h = sched.queues().h();
+  const double momentum = 8.0;
+  util::Rng rng{2022};
+  std::array<double, kClasses> p_schedule{};
+  std::array<double, kClasses> p_idle{};
+  std::array<double, kClasses> lag{};
+  for (std::size_t c = 0; c < kClasses; ++c) {
+    const auto& dev =
+        device::profile(static_cast<device::DeviceKind>(c / kColumns));
+    const std::size_t a = c % kColumns;
+    const auto status =
+        a < device::kAppKinds ? device::AppStatus::kApp : device::AppStatus::kNoApp;
+    const auto app = a < device::kAppKinds ? static_cast<device::AppKind>(a)
+                                           : device::AppKind::kMap;
+    p_schedule[c] = device::power_w(dev, device::Decision::kSchedule, status, app);
+    p_idle[c] = device::power_w(dev, device::Decision::kIdle, status, app);
+    lag[c] = static_cast<double>(rng.uniform_int(std::uint64_t{2001}));
+  }
+  std::vector<std::uint32_t> members(kHot);
+  for (std::size_t k = 0; k < kHot; ++k) {
+    members[k] = static_cast<std::uint32_t>(rng.uniform_int(std::uint64_t{kFleet}));
+  }
+  std::sort(members.begin(), members.end());
+  std::vector<std::uint32_t> member_class(kHot);
+  std::vector<double> gaps(kFleet, 0.0);
+  for (std::size_t k = 0; k < kHot; ++k) {
+    const auto c = static_cast<std::size_t>(rng.uniform_int(std::uint64_t{kClasses}));
+    member_class[k] = static_cast<std::uint32_t>(c);
+    const double floor =
+        sched.idle_floor(p_schedule[c], p_idle[c], lag[c], momentum, q, h);
+    gaps[members[k]] = std::isfinite(floor) && floor > 0.0
+                           ? floor * 1.11 * rng.uniform()
+                           : 0.0;
+  }
+  std::size_t screened = 0;
+  for (auto _ : state) {
+    std::array<double, kClasses> floors{};
+    for (std::size_t c = 0; c < kClasses; ++c) {
+      floors[c] =
+          sched.idle_floor(p_schedule[c], p_idle[c], lag[c], momentum, q, h);
+    }
+    screened = 0;
+    for (std::size_t k = 0; k < kHot; ++k) {
+      screened += gaps[members[k]] < floors[member_class[k]] ? 1 : 0;
+    }
+    benchmark::DoNotOptimize(screened);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * kHot));
+  state.counters["screened_ratio"] =
+      static_cast<double>(screened) / static_cast<double>(kHot);
+}
+BENCHMARK(BM_OnlineDecideScreen);
 
 void BM_OnlineQueueUpdate(benchmark::State& state) {
   core::OnlineScheduler sched{{4000.0, 500.0, 0.05, 1.0, 0.05, 0.9}};

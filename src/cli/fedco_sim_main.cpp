@@ -152,11 +152,11 @@ core::ExperimentConfig effective_config(const util::ArgParser& args) {
     cfg.scheduler = core::parse_scheduler_token(args.get("scheduler"));
   }
   if (args.has("users")) {
-    cfg.num_users = static_cast<std::size_t>(
-        args.get_int("users", static_cast<std::int64_t>(cfg.num_users)));
+    cfg.num_users = static_cast<std::size_t>(args.get_count("users", cfg.num_users));
   }
   if (args.has("horizon")) {
-    cfg.horizon_slots = args.get_int("horizon", cfg.horizon_slots);
+    cfg.horizon_slots = static_cast<sim::Slot>(args.get_count(
+        "horizon", static_cast<std::uint64_t>(cfg.horizon_slots)));
   }
   if (args.has("arrival-p")) {
     cfg.arrival_probability =
@@ -181,11 +181,14 @@ core::ExperimentConfig effective_config(const util::ArgParser& args) {
   if (args.has("epsilon")) cfg.epsilon = args.get_double("epsilon", cfg.epsilon);
   if (args.has("decision-interval")) {
     cfg.decision_interval_slots =
-        args.get_int("decision-interval", cfg.decision_interval_slots);
+        static_cast<sim::Slot>(args.get_count(
+        "decision-interval",
+        static_cast<std::uint64_t>(cfg.decision_interval_slots)));
   }
   if (args.has("offline-window")) {
     cfg.offline_window_slots =
-        args.get_int("offline-window", cfg.offline_window_slots);
+        static_cast<sim::Slot>(args.get_count(
+        "offline-window", static_cast<std::uint64_t>(cfg.offline_window_slots)));
   }
   if (args.has("offline-Lb")) {
     cfg.offline_lb = args.get_double("offline-Lb", cfg.offline_lb);
@@ -417,9 +420,9 @@ int run(const util::ArgParser& args) {
   const std::string save_summary_path = args.get("save-summary");
   const std::string events_path = args.get("events");
   const std::string csv_dir = args.get("csv-dir");
-  const std::int64_t replications_raw = args.get_int("replications", 1);
-  const std::int64_t events_sample = args.get_int("events-sample", 1);
-  const std::int64_t jobs_raw = args.get_int("jobs", 0);
+  const std::uint64_t replications_raw = args.get_count("replications", 1);
+  const std::uint64_t events_sample = args.get_count("events-sample", 1);
+  const std::uint64_t jobs_raw = args.get_count("jobs", 0);
   if (replications_raw < 1) {
     throw std::invalid_argument{"--replications must be >= 1"};
   }
@@ -435,9 +438,6 @@ int run(const util::ArgParser& args) {
     throw std::invalid_argument{
         "--events streams a single run; drop --replications or run the "
         "replication of interest with its own seed"};
-  }
-  if (jobs_raw < 0) {
-    throw std::invalid_argument{"--jobs must be >= 0 (0 = auto)"};
   }
   const auto replications = static_cast<std::size_t>(replications_raw);
   const auto jobs = static_cast<std::size_t>(jobs_raw);
@@ -485,7 +485,7 @@ int run(const util::ArgParser& args) {
   if (!events_path.empty()) {
     events = std::make_unique<obs::JsonlEventWriter>(events_path);
     hooks.events = events.get();
-    hooks.events_sample = events_sample;
+    hooks.events_sample = static_cast<sim::Slot>(events_sample);
   }
   const core::ExperimentResult r = core::run_experiment(cfg, hooks);
   if (events != nullptr) {

@@ -39,6 +39,24 @@ double read_unit_interval(const util::JsonValue& value, const std::string& key,
   return number;
 }
 
+/// A finite number (optionally also >= 0) — the Eq. (21) knobs; named in
+/// the error like read_unit_interval. (parse_json already refuses
+/// overflowing literals such as 1e999, so only the sign check can fire
+/// from a file today.)
+double read_finite(const util::JsonValue& value, const std::string& key,
+                   bool non_negative) {
+  const double number = read_double(value, key);
+  if (!std::isfinite(number)) {
+    throw std::invalid_argument{std::string{kLoader} + ": '" + key +
+                                "' must be finite"};
+  }
+  if (non_negative && number < 0.0) {
+    throw std::invalid_argument{std::string{kLoader} + ": '" + key +
+                                "' must be >= 0"};
+  }
+  return number;
+}
+
 bool read_bool(const util::JsonValue& value, const std::string& key) {
   return util::json_read_bool(value, key, kLoader);
 }
@@ -493,11 +511,11 @@ ExperimentConfig config_from_json(const std::string& text) {
         } else if (key == "fixed_device") {
           config.fixed_device = parse_device_token(read_string(value, key));
         } else if (key == "V") {
-          config.V = read_double(value, key);
+          config.V = read_finite(value, key, false);
         } else if (key == "lb" || key == "Lb") {
-          config.lb = read_double(value, key);
+          config.lb = read_finite(value, key, true);
         } else if (key == "epsilon") {
-          config.epsilon = read_double(value, key);
+          config.epsilon = read_finite(value, key, true);
         } else if (key == "offline_window_slots") {
           config.offline_window_slots = read_int(value, key);
         } else if (key == "offline_lb") {
@@ -517,9 +535,9 @@ ExperimentConfig config_from_json(const std::string& text) {
         } else if (key == "online_churn_aware") {
           config.online_churn_aware = read_bool(value, key);
         } else if (key == "eta") {
-          config.eta = read_double(value, key);
+          config.eta = read_finite(value, key, false);
         } else if (key == "beta") {
-          config.beta = read_double(value, key);
+          config.beta = read_unit_interval(value, key, key);
         } else if (key == "real_training") {
           config.real_training = read_bool(value, key);
         } else if (key == "model") {
@@ -552,6 +570,10 @@ ExperimentConfig config_from_json(const std::string& text) {
           config.decision_eval_seconds = read_double(value, key);
         } else if (key == "decision_interval_slots") {
           config.decision_interval_slots = read_int(value, key);
+          if (config.decision_interval_slots < 1) {
+            throw std::invalid_argument{std::string{kLoader} + ": '" + key +
+                                        "' must be >= 1"};
+          }
         } else if (key == "upload_drop_probability") {
           config.upload_drop_probability = read_double(value, key);
         } else if (key == "track_battery") {

@@ -172,6 +172,42 @@ struct UserState {
   Feed oracle;  ///< next_arrival_between's reader (scheduler look-ahead)
 };
 
+/// A hot-set member (a ready user consulted every slot) with its cached
+/// decide class (a kDecideClasses index), current while the slot is below
+/// class_until() (0 = no class; see Driver::hot_entry). The class lets the
+/// idle screen settle a member from its gap row alone. Packed into 8 bytes
+/// — the hot set is the decide phase's one sequential stream: the class
+/// takes the low 6 bits, then one bit marks a member the screen settles
+/// this slot, and the horizon takes the upper 25, clamped down (a clamped
+/// entry only expires early, falling back to the exact path).
+struct HotEntry {
+  static constexpr unsigned kClassBits = 6;
+  static_assert(kDecideClasses <= (1u << kClassBits));
+  static constexpr std::uint32_t kScreened = 1u << kClassBits;
+  static constexpr unsigned kUntilShift = kClassBits + 1;
+  static constexpr sim::Slot kMaxUntil =
+      (sim::Slot{1} << (32 - kUntilShift)) - 1;
+
+  std::uint32_t user = 0;
+  std::uint32_t meta = 0;
+
+  [[nodiscard]] static HotEntry make(std::uint32_t user, sim::Slot until,
+                                     std::size_t cls) noexcept {
+    const sim::Slot clamped = std::clamp<sim::Slot>(until, 0, kMaxUntil);
+    return HotEntry{user, static_cast<std::uint32_t>(clamped << kUntilShift) |
+                              static_cast<std::uint32_t>(cls)};
+  }
+  [[nodiscard]] sim::Slot class_until() const noexcept {
+    return meta >> kUntilShift;
+  }
+  [[nodiscard]] std::size_t cls() const noexcept {
+    return meta & ((1u << kClassBits) - 1);
+  }
+  [[nodiscard]] bool screened() const noexcept {
+    return (meta & kScreened) != 0;
+  }
+};
+
 /// Fenwick (binary-indexed) tree counting in-flight training end slots —
 /// the expected_lag index. count_le(end) returns exactly the integer the
 /// historical sorted-vector upper_bound produced, but insert/erase are
@@ -239,6 +275,29 @@ void check_arrival_knobs(std::optional<double> probability,
   }
 }
 
+/// Reject Eq. (21) knobs outside their domain before the run starts. The
+/// Lyapunov queues and the idle screen's exactness argument
+/// (docs/algorithms.md §9) assume them; a NaN V, for one, would otherwise
+/// run to completion with every decision idle.
+void check_lyapunov_knobs(const ExperimentConfig& cfg) {
+  const auto reject = [](const char* field, const char* domain) {
+    throw std::invalid_argument{std::string{"run_experiment: "} + field +
+                                " must be " + domain};
+  };
+  if (!std::isfinite(cfg.V)) reject("V", "finite");
+  if (!(std::isfinite(cfg.lb) && cfg.lb >= 0.0)) {
+    reject("lb", "finite and >= 0");
+  }
+  if (!(std::isfinite(cfg.epsilon) && cfg.epsilon >= 0.0)) {
+    reject("epsilon", "finite and >= 0");
+  }
+  if (!std::isfinite(cfg.eta)) reject("eta", "finite");
+  if (!(cfg.beta >= 0.0 && cfg.beta <= 1.0)) reject("beta", "in [0, 1]");
+  if (cfg.decision_interval_slots < 1) {
+    reject("decision_interval_slots", ">= 1");
+  }
+}
+
 /// Scheme-agnostic event-driven slot driver. All scheduling-policy logic
 /// lives behind the core::Scheduler strategy (src/core/schedulers/); the
 /// driver advances devices, app sessions, energy meters, the gap dynamics,
@@ -282,6 +341,7 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
           "run_experiment: record_interval must be positive"};
     }
     check_arrival_knobs(cfg.arrival_probability, cfg.diurnal_swing, "");
+    check_lyapunov_knobs(cfg);
     if (!cfg.per_user.empty() && cfg.per_user.size() != cfg.num_users) {
       throw std::invalid_argument{
           "run_experiment: per_user must be empty or hold num_users entries"};
@@ -791,7 +851,7 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
       if (u.join == 0) {
         u.active_counted = true;
         ++active_present_;
-        hot_ready_.push_back(static_cast<std::uint32_t>(i));
+        hot_ready_.push_back(hot_entry(static_cast<std::uint32_t>(i), 0));
       }
       if (cfg_.real_training) {
         std::vector<std::size_t> shard = partition[i];
@@ -1167,14 +1227,20 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
     if (hot_ready_.empty() && decide_scratch_.empty()) return;
     next_hot_.clear();
     due_.clear();
+    screened_scratch_.clear();
+    hot_settled_ = 0;
+    scratch_settled_ = 0;
+    unsettled_hot_ = 0;
+    screen_live_ = open_idle_screen(t);
     std::size_t a = 0;
     std::size_t b = 0;
     std::size_t gone = 0;
     while (a < hot_ready_.size() || b < decide_scratch_.size()) {
       std::uint32_t i;
       if (b >= decide_scratch_.size() ||
-          (a < hot_ready_.size() && hot_ready_[a] < decide_scratch_[b])) {
-        i = hot_ready_[a++];
+          (a < hot_ready_.size() && hot_ready_[a].user < decide_scratch_[b])) {
+        HotEntry& e = hot_ready_[a++];
+        i = e.user;
         if (!gate_ready_hot_) {
           // Hot fast path: a hot member was ready and in-window last slot
           // and can only have lost either through its leave event this
@@ -1185,6 +1251,20 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
           // user state).
           while (gone < left_ready_.size() && left_ready_[gone] < i) ++gone;
           if (gone < left_ready_.size() && left_ready_[gone] == i) continue;
+          if (screen_live_ && a + 64 < hot_ready_.size()) {
+            // Ascending but sparse member indices defeat the hardware
+            // prefetcher on the gap rows; hint the next members' lines.
+            prefetch_decide_gap(hot_ready_[a + 64].user);
+          }
+          // Idle screen: a member whose cached class is still current and
+          // whose gap is below the class floor is a certain kIdle — marked
+          // in place, it is settled in user order by the sink callbacks
+          // (settle_screened) and never reaches the strategy.
+          if (screen_live_ && certain_idle(e, t)) {
+            e.meta |= HotEntry::kScreened;
+            ++unsettled_hot_;
+            continue;
+          }
           due_.push_back(i);
           continue;
         }
@@ -1193,25 +1273,141 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
       }
       screen(i, t);
     }
+    result_.summary.timing.decide_screened +=
+        unsettled_hot_ + screened_scratch_.size();
     if (!due_.empty()) {
       scheduler_->decide_batch(due_.data(), due_.size(), t, *this, *this);
     }
+    settle_screened(std::numeric_limits<std::uint32_t>::max());
     // Screening pushes gated users to next_hot_ before the batch pushes
     // idle ones, so with the gate armed the two runs must be re-merged
     // into the ascending order the next slot's merge loop assumes (the
     // scalar loop produced it by interleaving).
-    if (gate_ready_hot_) std::sort(next_hot_.begin(), next_hot_.end());
+    if (gate_ready_hot_) {
+      std::sort(next_hot_.begin(), next_hot_.end(),
+                [](const HotEntry& x, const HotEntry& y) {
+                  return x.user < y.user;
+                });
+    }
     hot_ready_.swap(next_hot_);
   }
 
+  /// Ask the strategy for this slot's idle floors (Scheduler::idle_screen).
+  /// Candidates are screened from their decide class and the gap row the
+  /// batched decide would read — so not with the battery gate armed (it
+  /// is checked before the strategy, per slot) nor on the lazy chain path
+  /// (its gaps materialize on access). Below kMinScreenedCandidates the
+  /// per-class floors cost more than the consults they save.
+  [[nodiscard]] bool open_idle_screen(sim::Slot t) {
+    const std::size_t candidates = hot_ready_.size() + decide_scratch_.size();
+    if (gate_ready_hot_ || chain_mode_ || candidates < kMinScreenedCandidates) {
+      return false;
+    }
+    // Straight from the index, not through cached_lag_count: 36 entries
+    // in its per-slot memo would lengthen every lag_count_at scan of the
+    // batch that follows.
+    std::array<double, kDecideClasses> class_lag{};
+    for (std::size_t k = 0; k < device::kDeviceKinds; ++k) {
+      for (std::size_t col = 0; col < kDecideColumns; ++col) {
+        class_lag[k * kDecideColumns + col] = static_cast<double>(
+            training_ends_.count_le(t + lag_slots_[k][col]));
+      }
+    }
+    // Every schedule this phase comes from a candidate, so no class count
+    // can grow by more than the candidate total.
+    return scheduler_->idle_screen(t, class_lag, candidates, idle_screen_);
+  }
+
+  /// The idle screen's test: the entry's class is current at t and the
+  /// user's gap is below this slot's class floor.
+  [[nodiscard]] bool certain_idle(const HotEntry& e, sim::Slot t) const {
+    return t < e.class_until() &&
+           decide_gap(e.user, t) < idle_screen_.floor[e.cls()];
+  }
+
+  /// The gap row a ready, present user's batched decide reads at slot t:
+  /// the swept column, or in folded mode the closed form fill_decide_inputs
+  /// would refresh it with.
+  [[nodiscard]] double decide_gap(std::uint32_t i, sim::Slot t) const {
+    return folded_ ? fold_.eval(i, t - 1) : gap_[i];
+  }
+
+  /// Hint the cache lines decide_gap(i, ...) reads.
+  void prefetch_decide_gap(std::uint32_t i) const {
+    if (folded_) {
+      fold_.prefetch(i);
+    } else {
+      __builtin_prefetch(&gap_[i]);
+    }
+  }
+
+  /// The hot-set entry of ready user i after an idle decide at slot t: its
+  /// decide class, valid while the live session cannot change it — until
+  /// the running app session ends, or with no app on, until the next
+  /// arrival (an arrival during a session is absorbed). A mirror not
+  /// materialized through t (the scalar decide reads user_app instead of
+  /// the prefill) carries no class.
+  [[nodiscard]] HotEntry hot_entry(std::uint32_t i, sim::Slot t) const {
+    const DecideHot& h = decide_hot_[i];
+    if (t >= h.next_arrival) return HotEntry{i, 0};
+    const bool app_on = t < h.sess_end;
+    return HotEntry::make(
+        i, app_on ? h.sess_end : h.next_arrival,
+        h.dev_kind * kDecideColumns + (app_on ? h.app : device::kAppKinds));
+  }
+
+  /// Apply the idle outcome of every screened candidate below user `i` —
+  /// exactly the idle_until(user, parked_until) the strategy would have
+  /// reported there — so counters, parks, park events and the next hot set
+  /// see the same sequence as without the screen. The screened candidates
+  /// are the marked hot_ready_ entries merged with screened_scratch_, both
+  /// ascending.
+  void settle_screened(std::uint32_t i) {
+    while (unsettled_hot_ != 0 || scratch_settled_ < screened_scratch_.size()) {
+      // A marked entry lies at or after the cursor while any is unsettled.
+      if (unsettled_hot_ != 0) {
+        while (!hot_ready_[hot_settled_].screened()) ++hot_settled_;
+      }
+      const bool hot =
+          unsettled_hot_ != 0 && hot_ready_[hot_settled_].user < i;
+      const bool scratch = scratch_settled_ < screened_scratch_.size() &&
+                           screened_scratch_[scratch_settled_].user < i;
+      if (!hot && !scratch) return;
+      HotEntry e;
+      if (hot && (!scratch || hot_ready_[hot_settled_].user <
+                                  screened_scratch_[scratch_settled_].user)) {
+        e = hot_ready_[hot_settled_++];
+        e.meta &= ~HotEntry::kScreened;
+        --unsettled_hot_;
+      } else {
+        e = screened_scratch_[scratch_settled_++];
+      }
+      ++result_.summary.decisions_idle;
+      if (!park(e.user, idle_screen_.parked_until)) next_hot_.push_back(e);
+    }
+  }
+
   /// The scheme-agnostic pre-decide guards, applied per candidate before
-  /// the strategy sees the batch. Screening user B ahead of applying user
-  /// A's decision is order-safe: the gate reads only B's own (independent)
-  /// accrual state, and the shared statistics it touches are commutative
-  /// counts/maxima.
+  /// the strategy sees the batch, then — when the screen is live — the idle
+  /// screen. Screening user B ahead of applying user A's decision is
+  /// order-safe: the gate reads only B's own (independent) accrual state,
+  /// the shared statistics it touches are commutative counts/maxima, and
+  /// the idle floors already hold for any lag A's schedule can cause.
   void screen(std::uint32_t i, sim::Slot t) {
     UserState& u = users_[i];
     if (u.phase != Phase::kReady || !in_window(u, t)) return;
+    if (screen_live_) {
+      // A candidate without a cached class (it became ready, joined or
+      // woke this slot) gets one from its live session, materialized
+      // through t exactly as fill_decide_inputs would, and faces the same
+      // idle screen as the hot members.
+      advance_live(u, t);
+      const HotEntry e = hot_entry(i, t);
+      if (certain_idle(e, t)) {
+        screened_scratch_.push_back(e);
+        return;
+      }
+    }
     // JobScheduler battery condition (Sec. VI): no training below the
     // configured state of charge. Scheme-agnostic, so gated in the driver
     // before the strategy is consulted — and re-checked every slot, so
@@ -1222,7 +1418,7 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
       catch_up(i, t - 1);
       if (u.battery.soc() < cfg_.min_soc_to_train) {
         ++result_.battery_gated_slots;
-        next_hot_.push_back(i);
+        next_hot_.push_back(HotEntry{i, 0});
         return;
       }
     }
@@ -1232,6 +1428,7 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
   // ------------------------------------------------------ DecisionSink
 
   void schedule(std::uint32_t i) override {
+    settle_screened(i);
     UserState& u = users_[i];
     catch_up(i, cur_ - 1);
     // Materialize the live session through the decision slot (the scalar
@@ -1252,14 +1449,25 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
   }
 
   void idle_until(std::uint32_t i, sim::Slot until) override {
+    settle_screened(i);
     ++result_.summary.decisions_idle;
-    if (!gate_ready_hot_ && until > cur_ + 1) {
-      push_event(until, i, EventType::kWake);  // parked
-      ++result_.summary.parks;
-      if (slot_sampled_) events_->emit(obs::Event::park(cur_, i, until));
-    } else {
-      next_hot_.push_back(i);
+    // Classes only matter while the strategy offers floors; otherwise the
+    // member re-enters classless and takes the exact path once if they
+    // come back.
+    if (!park(i, until)) {
+      next_hot_.push_back(screen_live_ ? hot_entry(i, cur_) : HotEntry{i, 0});
     }
+  }
+
+  /// Park idle user i on a kWake at `until` when that lies past the next
+  /// slot (never with the battery gate armed: it is re-checked per slot).
+  /// False: the user stays hot.
+  bool park(std::uint32_t i, sim::Slot until) {
+    if (gate_ready_hot_ || until <= cur_ + 1) return false;
+    push_event(until, i, EventType::kWake);
+    ++result_.summary.parks;
+    if (slot_sampled_) events_->emit(obs::Event::park(cur_, i, until));
+    return true;
   }
 
   // ------------------------------------------------------------- presence
@@ -1899,8 +2107,17 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
   /// Calendar event queue: one bucket per slot (push_event drops slots past
   /// the horizon, so the index is always in range). See the step() drain.
   std::vector<std::vector<Event>> event_buckets_;
-  std::vector<std::uint32_t> hot_ready_;       ///< ready users consulted every slot
-  std::vector<std::uint32_t> next_hot_;        ///< scratch for the rebuild
+  std::vector<HotEntry> hot_ready_;  ///< ready users consulted every slot
+  std::vector<HotEntry> next_hot_;   ///< scratch for the rebuild
+  /// Screened candidates that were not hot (see screen()); screened hot
+  /// members are marked in hot_ready_ instead of copied.
+  std::vector<HotEntry> screened_scratch_;
+  std::size_t hot_settled_ = 0;      ///< settle_screened cursors
+  std::size_t scratch_settled_ = 0;
+  std::size_t unsettled_hot_ = 0;    ///< marked hot entries not yet settled
+  bool screen_live_ = false;         ///< this slot's open_idle_screen result
+  IdleScreen idle_screen_;           ///< this slot's floors (open_idle_screen)
+  static constexpr std::size_t kMinScreenedCandidates = 256;
   std::vector<std::uint32_t> decide_scratch_;  ///< became ready/woke this slot
   std::vector<std::uint32_t> due_;             ///< screened batch for decide_batch
   std::vector<std::uint32_t> left_ready_;      ///< ready users that left this slot

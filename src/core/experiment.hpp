@@ -289,6 +289,9 @@ struct RunSummary {
     double record_s = 0.0;    ///< queue/gap accounting, traces, eval
     double finalize_s = 0.0;  ///< catch-up + meter summation
     double total_s = 0.0;     ///< whole run_experiment call
+    /// Ready-user consults the idle screen settled before the strategy's
+    /// decide_batch (counted in decisions_idle as well).
+    std::uint64_t decide_screened = 0;
   } timing;
 };
 

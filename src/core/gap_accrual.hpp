@@ -90,6 +90,12 @@ class FoldedGapAccrual {
     return base_[i] + epsilon_ * static_cast<double>(s - anchor_[i]);
   }
 
+  /// Hint the cache lines eval(i, ...) reads.
+  void prefetch(std::size_t i) const noexcept {
+    __builtin_prefetch(&base_[i]);
+    __builtin_prefetch(&anchor_[i]);
+  }
+
   /// Start accruing at slot `t` from `base` (the value at the end of slot
   /// t-1, i.e. the first swept slot t contributes base + epsilon).
   void attach_accrue(std::size_t i, double base, std::int64_t t) {

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cmath>
+#include <cstddef>
 #include <vector>
 
 #include "core/queues.hpp"
@@ -84,6 +85,25 @@ class OnlineScheduler {
         .decision;
   }
 
+  /// Idle floor of the Eq. (21) rule at a fixed lag: the smallest double
+  /// gap g at which evaluate() schedules — found by bisection over the
+  /// ordered doubles with evaluate() itself as the predicate, never by a
+  /// derived margin. For h >= 0 the idle cost is non-decreasing in g, so
+  /// every gap below the floor decides kIdle at `lag`, and — while
+  /// amplification() is non-decreasing (see amplification_monotone_through)
+  /// — at every larger lag too. h == 0 makes the decision independent of
+  /// the gap: -inf when it schedules, +inf when it idles. A negative or NaN
+  /// h returns -inf (no floor).
+  [[nodiscard]] double idle_floor(double p_schedule, double p_idle, double lag,
+                                  double momentum_norm, double q,
+                                  double h) const;
+
+  /// Is amplification() non-decreasing over the integral lags [0, hi]?
+  /// Every value up to `hi` is computed and compared once (monotonicity of
+  /// the platform's pow is not assumed). False when `hi` lies past the memo
+  /// ceiling or a decrease was found at or below it.
+  [[nodiscard]] bool amplification_monotone_through(double hi) const;
+
   /// End-of-slot queue update (server side of Algorithm 2).
   void update_queues(double arrivals, double served, double sum_gaps) noexcept {
     queues_.step(arrivals, served, sum_gaps);
@@ -135,6 +155,13 @@ class OnlineScheduler {
   OnlineSchedulerConfig config_;
   LyapunovQueues queues_;
   mutable std::vector<double> amp_cache_;  ///< index = integral lag
+  /// amplification_monotone_through state: lags [0, amp_checked_) are
+  /// non-decreasing, the last of them amplifies by amp_checked_last_;
+  /// amp_dropped_ once lag amp_checked_ was found below (or unordered
+  /// with) it — the check never extends past a drop.
+  mutable std::size_t amp_checked_ = 0;
+  mutable double amp_checked_last_ = 0.0;
+  mutable bool amp_dropped_ = false;
 };
 
 }  // namespace fedco::core

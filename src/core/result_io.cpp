@@ -94,6 +94,7 @@ std::string result_to_json(const ExperimentConfig& config,
       json.member("record_s", s.timing.record_s);
       json.member("finalize_s", s.timing.finalize_s);
       json.member("total_s", s.timing.total_s);
+      json.member("decide_screened", s.timing.decide_screened);
       json.end_object();
     }
     json.end_object();

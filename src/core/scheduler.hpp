@@ -17,9 +17,11 @@
 //    streams or depend on wall-clock/thread identity.
 //  * Hooks are invoked in a fixed per-slot order: completions (including
 //    `on_user_ready` for users finishing their transfer) -> `on_slot_begin`
-//    -> one `decide` per due ready user in user-index order (delivered as
-//    a single `decide_batch` call whose default implementation is exactly
-//    that scalar loop) -> energy/gap accounting -> `on_slot_end`.
+//    -> `idle_screen` (optional per-class idle floors; users below them
+//    are settled idle by the driver) -> one `decide` per remaining due
+//    ready user in user-index order (delivered as a single `decide_batch`
+//    call whose default implementation is exactly that scalar loop) ->
+//    energy/gap accounting -> `on_slot_end`.
 //  * `queue_q`/`queue_h` are sampled once per slot after `on_slot_end` and
 //    must be cheap; schemes without Lyapunov queues report 0.
 //  * The driver is event-driven (DESIGN.md §9): per-user state read through
@@ -32,6 +34,7 @@
 //    future slot there to take per-slot work off the driver's hot path.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -44,6 +47,23 @@
 #include "sim/clock.hpp"
 
 namespace fedco::core {
+
+/// Decision classes of the idle screen: (device kind, co-run column), the
+/// column being the foreground app kind or kAppKinds for no app — the
+/// app_column fill_decide_inputs writes. Class index =
+/// device kind * kDecideColumns + column.
+inline constexpr std::size_t kDecideColumns = device::kAppKinds + 1;
+inline constexpr std::size_t kDecideClasses =
+    device::kDeviceKinds * kDecideColumns;
+
+/// A strategy's per-slot idle screen (Scheduler::idle_screen).
+struct IdleScreen {
+  /// Per-class gap floor: a due user of class c whose gap is below
+  /// floor[c] decides kIdle this slot.
+  std::array<double, kDecideClasses> floor{};
+  /// What ready_parked_until returns for every screened user this slot.
+  sim::Slot parked_until = 0;
+};
 
 /// The driver-side view a strategy sees. Implemented by the experiment
 /// driver; exposes read access to per-user simulation state plus the two
@@ -253,6 +273,27 @@ class Scheduler {
         sink.idle(users[k]);
       }
     }
+  }
+
+  /// Exact idle screen for the decide phase (docs/algorithms.md §9). The
+  /// driver calls it at most once per slot, after on_slot_begin and before
+  /// decide_batch. class_lag[c] is lag_count_at() for a session of class c
+  /// started at `t`, read before any schedule of this slot; lag_headroom
+  /// bounds how far any class count can grow during the decide phase.
+  /// Returning true promises: for every due user of class c whose gap (the
+  /// gap_values() row as fill_decide_inputs would refresh it) is below
+  /// screen.floor[c], decide_batch would report
+  /// idle_until(user, screen.parked_until) at whatever position of the
+  /// batch the user sits — so the driver settles such users itself and
+  /// never hands them to decide_batch. The default promises nothing.
+  virtual bool idle_screen(sim::Slot t,
+                           const std::array<double, kDecideClasses>& class_lag,
+                           std::size_t lag_headroom, IdleScreen& screen) {
+    (void)t;
+    (void)class_lag;
+    (void)lag_headroom;
+    (void)screen;
+    return false;
   }
 
   /// Called when an update from `user` was applied to the global model

@@ -1,5 +1,8 @@
 #include "core/schedulers/online.hpp"
 
+#include <cmath>
+#include <limits>
+
 namespace fedco::core {
 
 device::Decision OnlineLyapunovScheduler::decide(std::size_t user, sim::Slot t,
@@ -35,15 +38,12 @@ void OnlineLyapunovScheduler::decide_batch(const std::uint32_t* users,
   // The parking promise is uniform across the batch (ready_parked_until
   // ignores the user), so it is computed once and delivered through
   // sink.idle_until instead of a per-user virtual consult.
-  const sim::Slot parked_until =
-      decision_interval_slots_ <= 1
-          ? t + 1
-          : (t / decision_interval_slots_ + 1) * decision_interval_slots_;
+  const sim::Slot until = parked_until(t);
   // Off-interval slots short-circuit the whole batch: the scalar decide()
   // returns kIdle for every user without reading any state.
   if (decision_interval_slots_ > 1 && t % decision_interval_slots_ != 0) {
     for (std::size_t k = 0; k < count; ++k) {
-      sink.idle_until(users[k], parked_until);
+      sink.idle_until(users[k], until);
     }
     return;
   }
@@ -84,9 +84,46 @@ void OnlineLyapunovScheduler::decide_batch(const std::uint32_t* users,
         device::Decision::kSchedule) {
       sink.schedule(user);
     } else {
-      sink.idle_until(user, parked_until);
+      sink.idle_until(user, until);
     }
   }
+}
+
+bool OnlineLyapunovScheduler::idle_screen(
+    sim::Slot t, const std::array<double, kDecideClasses>& class_lag,
+    std::size_t lag_headroom, IdleScreen& screen) {
+  // The floors assume decide_batch's arithmetic with one H(t) for every
+  // user; the per-user h_scale modes and the scalar reference opt out,
+  // and off-interval slots idle the whole batch without evaluating it.
+  if (!batch_enabled_ || churn_aware_ || has_priority_) return false;
+  if (decision_interval_slots_ > 1 && t % decision_interval_slots_ != 0) {
+    return false;
+  }
+  const double q = online_.queues().q();
+  const double h = online_.queues().h();
+  const double momentum = momentum_norm_;
+  if (!std::isfinite(q) || !std::isfinite(h) || !std::isfinite(momentum)) {
+    return false;
+  }
+  for (std::size_t k = 0; k < device::kDeviceKinds; ++k) {
+    for (std::size_t a = 0; a < kDecideColumns; ++a) {
+      const std::size_t c = k * kDecideColumns + a;
+      // With h > 0 the schedule cost grows with the lag, so the floor at
+      // the slot-start lag holds for the whole phase only where the
+      // amplification is non-decreasing up to the largest reachable lag.
+      // (h == 0 drops the lag from the cost altogether.)
+      if (h > 0.0 && !online_.amplification_monotone_through(
+                         class_lag[c] + static_cast<double>(lag_headroom))) {
+        screen.floor[c] = -std::numeric_limits<double>::infinity();
+        continue;
+      }
+      screen.floor[c] =
+          online_.idle_floor(power_[k][a].schedule, power_[k][a].idle,
+                             class_lag[c], momentum, q, h);
+    }
+  }
+  screen.parked_until = parked_until(t);
+  return true;
 }
 
 }  // namespace fedco::core

@@ -61,6 +61,16 @@ class OnlineLyapunovScheduler final : public Scheduler {
   void decide_batch(const std::uint32_t* users, std::size_t count, sim::Slot t,
                     SchedulerContext& ctx, DecisionSink& sink) override;
 
+  /// Per-class idle floors (Scheduler::idle_screen): OnlineScheduler's
+  /// bisected floor at the slot-start lag of each class, offered only on
+  /// evaluation slots of the batched pass with one unscaled H(t) for the
+  /// whole batch (not under online_churn_aware or non-unit priorities),
+  /// finite slot constants, and — when H(t) > 0 — an amplification memo
+  /// checked non-decreasing through the class lag plus the headroom.
+  bool idle_screen(sim::Slot t,
+                   const std::array<double, kDecideClasses>& class_lag,
+                   std::size_t lag_headroom, IdleScreen& screen) override;
+
   /// Pin each user's power-table row once (device kinds are static for a
   /// run), so the batched pass reads powers through a flat pointer array
   /// instead of a user_device() consult per evaluation.
@@ -108,8 +118,7 @@ class OnlineLyapunovScheduler final : public Scheduler {
   [[nodiscard]] sim::Slot ready_parked_until(std::size_t user,
                                              sim::Slot t) const override {
     (void)user;
-    if (decision_interval_slots_ <= 1) return t + 1;
-    return (t / decision_interval_slots_ + 1) * decision_interval_slots_;
+    return parked_until(t);
   }
 
   [[nodiscard]] bool charges_decision_overhead() const noexcept override {
@@ -128,6 +137,13 @@ class OnlineLyapunovScheduler final : public Scheduler {
     double schedule = 0.0;
     double idle = 0.0;
   };
+
+  /// The parking promise of every idle decision at `t`: the next
+  /// evaluation slot (uniform across users).
+  [[nodiscard]] sim::Slot parked_until(sim::Slot t) const noexcept {
+    if (decision_interval_slots_ <= 1) return t + 1;
+    return (t / decision_interval_slots_ + 1) * decision_interval_slots_;
+  }
 
   /// The Eq. (21) H(t) discount/boost of one user: priority weight times —
   /// under online_churn_aware — the remaining-presence fraction of a

@@ -70,6 +70,19 @@ std::int64_t ArgParser::get_int(const std::string& name,
   return parsed;
 }
 
+std::uint64_t ArgParser::get_count(const std::string& name,
+                                   std::uint64_t fallback) const {
+  const std::string value = get(name);
+  if (value.empty()) return fallback;
+  const std::int64_t parsed = get_int(name, 0);
+  if (parsed < 0) {
+    throw std::invalid_argument{"ArgParser: --" + name +
+                                " expects a non-negative integer, got '" +
+                                value + "'"};
+  }
+  return static_cast<std::uint64_t>(parsed);
+}
+
 bool ArgParser::get_bool(const std::string& name, bool fallback) const {
   if (!has(name)) return fallback;
   const std::string value = get(name);

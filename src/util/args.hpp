@@ -29,6 +29,11 @@ class ArgParser {
   [[nodiscard]] std::int64_t get_int(const std::string& name,
                                      std::int64_t fallback) const;
   [[nodiscard]] bool get_bool(const std::string& name, bool fallback) const;
+  /// get_int for counts (users, slots, jobs, ...): a negative value throws
+  /// std::invalid_argument naming the option, before any unsigned cast
+  /// could wrap it.
+  [[nodiscard]] std::uint64_t get_count(const std::string& name,
+                                        std::uint64_t fallback) const;
 
   [[nodiscard]] const std::vector<std::string>& positional() const noexcept {
     return positional_;

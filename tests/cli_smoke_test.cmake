@@ -17,6 +17,10 @@
 #      document per replication.
 #   7. Trace-driven fleets: a missing or malformed --arrival-trace-dir is
 #      rejected up front with exit 2 and a path-bearing message.
+#   8. Out-of-domain knobs exit 1 with an error naming the knob before any
+#      slot runs: a negative count (--users -3 once wrapped into a huge
+#      allocation) and the Eq. (21) knobs (--V nan, --Lb -1, --epsilon -1,
+#      --decision-interval 0).
 # Invoked as: cmake -DFEDCO_SIM=<binary> -DFEDCO_SCENARIOS=<dir>
 #             -P cli_smoke_test.cmake
 
@@ -263,5 +267,29 @@ if(NOT bad_csv_err MATCHES "bad.csv")
   message(FATAL_ERROR
     "malformed trace-CSV error did not name the file:\n${bad_csv_err}")
 endif()
+
+# --- 8. out-of-domain knobs ------------------------------------------------
+foreach(case "users;-3;--users" "horizon;-5;--horizon" "jobs;-1;--jobs"
+        "V;nan;V must be finite" "Lb;-1;lb must be"
+        "epsilon;-1;epsilon must be"
+        "decision-interval;0;decision_interval_slots must be")
+  list(GET case 0 flag)
+  list(GET case 1 value)
+  list(GET case 2 expect)
+  execute_process(
+    COMMAND ${FEDCO_SIM} --scheduler online --horizon 60 --users 4
+            --${flag} ${value}
+    RESULT_VARIABLE knob_rc ERROR_VARIABLE knob_err OUTPUT_QUIET
+  )
+  if(NOT knob_rc EQUAL 1)
+    message(FATAL_ERROR
+      "--${flag} ${value} exited ${knob_rc} (want 1):\n${knob_err}")
+  endif()
+  string(FIND "${knob_err}" "${expect}" knob_at)
+  if(knob_at EQUAL -1)
+    message(FATAL_ERROR
+      "--${flag} ${value} error did not name '${expect}':\n${knob_err}")
+  endif()
+endforeach()
 
 message(STATUS "cli_smoke_test OK")

@@ -237,6 +237,56 @@ TEST(ConfigIo, RejectsPerUserArrivalProbabilityOutsideUnitInterval) {
   }
 }
 
+TEST(ConfigIo, RejectsNonFiniteV) {
+  // JSON has no NaN/inf literal and parse_json refuses an overflowing one,
+  // so a non-finite V never reaches the named reader; any finite V loads.
+  EXPECT_THROW((void)config_from_json(R"({"V":1e999})"), std::invalid_argument);
+  EXPECT_EQ(config_from_json(R"({"V":-2.5})").V, -2.5);
+}
+
+TEST(ConfigIo, RejectsNegativeLb) {
+  for (const char* value : {"-1", "-1e-300"}) {
+    expect_rejected(std::string{R"({"lb":)"} + value + "}", "lb");
+    expect_rejected(std::string{R"({"Lb":)"} + value + "}", "Lb");
+  }
+  EXPECT_THROW((void)config_from_json(R"({"lb":1e999})"), std::invalid_argument);
+  EXPECT_EQ(config_from_json(R"({"lb":0})").lb, 0.0);
+}
+
+TEST(ConfigIo, RejectsNegativeEpsilon) {
+  for (const char* value : {"-1", "-1e-300"}) {
+    expect_rejected(std::string{R"({"epsilon":)"} + value + "}", "epsilon");
+  }
+  EXPECT_THROW((void)config_from_json(R"({"epsilon":1e999})"),
+               std::invalid_argument);
+  EXPECT_EQ(config_from_json(R"({"epsilon":0})").epsilon, 0.0);
+}
+
+TEST(ConfigIo, RejectsNonFiniteEta) {
+  // As for V: only the parser's overflow refusal can fire from a file.
+  EXPECT_THROW((void)config_from_json(R"({"eta":-1e999})"),
+               std::invalid_argument);
+  EXPECT_EQ(config_from_json(R"({"eta":-0.5})").eta, -0.5);
+}
+
+TEST(ConfigIo, RejectsBetaOutsideUnitInterval) {
+  for (const char* value : kOutsideUnitInterval) {
+    expect_rejected(std::string{R"({"beta":)"} + value + "}", "beta");
+  }
+  EXPECT_EQ(config_from_json(R"({"beta":1})").beta, 1.0);
+}
+
+TEST(ConfigIo, RejectsDecisionIntervalBelowOne) {
+  for (const char* value : {"0", "-3"}) {
+    expect_rejected(
+        std::string{R"({"decision_interval_slots":)"} + value + "}",
+        "decision_interval_slots");
+  }
+  EXPECT_EQ(config_from_json(R"({"decision_interval_slots":1})")
+                .decision_interval_slots,
+            1);
+}
+
 TEST(ConfigIo, OutOfRangeIntegersThrow) {
   // Integers travel as doubles; past 2^53 they silently change value, so
   // the loader rejects them instead of corrupting the config.

@@ -248,6 +248,72 @@ TEST(Experiment, UnitIntervalEdgesOfArrivalKnobsRun) {
   }
 }
 
+constexpr double kNonFinite[] = {std::numeric_limits<double>::quiet_NaN(),
+                                 std::numeric_limits<double>::infinity(),
+                                 -std::numeric_limits<double>::infinity()};
+
+TEST(Experiment, RejectsNonFiniteV) {
+  for (const double v : kNonFinite) {
+    auto cfg = fast_config(SchedulerKind::kOnline);
+    cfg.V = v;
+    expect_rejected(cfg, "V must be finite");
+  }
+}
+
+TEST(Experiment, RejectsNegativeOrNonFiniteLb) {
+  for (const double lb : {-1.0, -1e-300, kNonFinite[0], kNonFinite[1]}) {
+    auto cfg = fast_config(SchedulerKind::kOnline);
+    cfg.lb = lb;
+    expect_rejected(cfg, "lb must be finite and >= 0");
+  }
+}
+
+TEST(Experiment, RejectsNegativeOrNonFiniteEpsilon) {
+  for (const double epsilon : {-1.0, -1e-300, kNonFinite[0], kNonFinite[1]}) {
+    auto cfg = fast_config(SchedulerKind::kOnline);
+    cfg.epsilon = epsilon;
+    expect_rejected(cfg, "epsilon must be finite and >= 0");
+  }
+}
+
+TEST(Experiment, RejectsNonFiniteEta) {
+  for (const double eta : kNonFinite) {
+    auto cfg = fast_config(SchedulerKind::kOnline);
+    cfg.eta = eta;
+    expect_rejected(cfg, "eta must be finite");
+  }
+}
+
+TEST(Experiment, RejectsBetaOutsideUnitInterval) {
+  for (const double beta : kOutsideUnitInterval) {
+    auto cfg = fast_config(SchedulerKind::kOnline);
+    cfg.beta = beta;
+    expect_rejected(cfg, "beta must be in [0, 1]");
+  }
+}
+
+TEST(Experiment, RejectsDecisionIntervalBelowOne) {
+  for (const sim::Slot interval : {sim::Slot{0}, sim::Slot{-3}}) {
+    auto cfg = fast_config(SchedulerKind::kOnline);
+    cfg.decision_interval_slots = interval;
+    expect_rejected(cfg, "decision_interval_slots must be >= 1");
+  }
+}
+
+TEST(Experiment, DomainEdgesOfLyapunovKnobsRun) {
+  auto cfg = fast_config(SchedulerKind::kOnline);
+  cfg.horizon_slots = 300;
+  cfg.lb = 0.0;
+  cfg.epsilon = 0.0;
+  cfg.V = -5.0;  // only a non-finite V is outside Eq. (21)'s domain
+  cfg.eta = -0.05;
+  cfg.decision_interval_slots = 1;
+  for (const double beta : {0.0, 1.0}) {
+    cfg.beta = beta;
+    EXPECT_NO_THROW((void)run_experiment(cfg)) << beta;
+  }
+}
+
 TEST(Experiment, TracesAreRecorded) {
   auto cfg = fast_config(SchedulerKind::kOnline);
   cfg.record_per_user_gaps = true;

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "util/args.hpp"
 
 namespace fedco::util {
@@ -53,6 +56,20 @@ TEST(ArgParser, NegativeNumberAsValue) {
   // "-5" does not start with "--", so it is consumed as the value.
   const auto args = parse({"--offset", "-5"});
   EXPECT_EQ(args.get_int("offset", 0), -5);
+}
+
+TEST(ArgParser, CountsRejectNegativeValuesByName) {
+  const auto args = parse({"--users", "-3", "--jobs", "4", "--bare"});
+  try {
+    (void)args.get_count("users", 10);
+    ADD_FAILURE() << "--users -3 accepted";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string{error.what()}.find("--users"), std::string::npos)
+        << error.what();
+  }
+  EXPECT_EQ(args.get_count("jobs", 0), 4u);
+  EXPECT_EQ(args.get_count("absent", 9), 9u);
+  EXPECT_EQ(args.get_count("bare", 5), 5u);  // valueless flag -> fallback
 }
 
 TEST(ArgParser, MalformedOptionsThrow) {

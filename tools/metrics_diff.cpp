@@ -262,7 +262,7 @@ int main(int argc, char** argv) {
       opt.ignores.push_back(std::move(extra));
     }
     opt.max_report =
-        static_cast<std::size_t>(args.get_int("max-report", 50));
+        static_cast<std::size_t>(args.get_count("max-report", 50));
     for (const std::string& stray : args.unused()) {
       std::fprintf(stderr, "metrics_diff: unknown option --%s\n",
                    stray.c_str());

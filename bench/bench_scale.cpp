@@ -15,7 +15,7 @@
 //
 //   bench_scale [--jobs N] [--smoke] [--out PATH] [--seed N]
 //               [--schedulers LIST] [--sizes LIST] [--repeat N]
-//               [--legacy-planner] [--folded-g] [--events BOOL]
+//               [--legacy-planner] [--events BOOL]
 //               [--churn-aware BOOL]
 //
 // Ad-hoc studies (ROADMAP campaign sweeps) can override the grid:
@@ -35,15 +35,6 @@
 // fixed-grid plan (the bit-identical PR 4 configuration). The parallel
 // plan's worker pool sizes from FEDCO_JOBS (else all cores), independent
 // of --jobs, which stays the campaign-level worker count.
-//
-// Online rows carry a "g_mode" tag for the same reason: by default each
-// fleet measures the Eq. (15/16) totals both ways — the per-slot fleet
-// sweep ("sweep") and the PR 7 folded closed-form accumulators ("folded",
-// config.folded_gap_accrual) — as two separate rows, and tools/bench_check
-// SKIPs rather than compares rows captured under different G(t) engines
-// (they differ by floating-point associativity, so decision streams can
-// legally diverge). --folded-g drops the sweep rows and measures online
-// fleets in folded mode only (ad-hoc studies).
 //
 // --events (default true) additionally re-measures every scheduler row
 // with the PR 8 JSONL event emitter attached at stride 1 (every slot) and
@@ -213,10 +204,6 @@ struct SchedulerRow {
   /// bench_check can tell a grid change from a regression.
   const char* planner = nullptr;
   std::uint64_t knapsack_grid = 0;
-  /// Online rows only: the G(t) engine the row was measured under —
-  /// "sweep" (per-slot fleet sweep) or "folded" (closed-form
-  /// accumulators). bench_check SKIPs cross-engine comparisons.
-  const char* g_mode = nullptr;
   /// True on rows re-measured with the JSONL event emitter attached
   /// (stride 1). Emitted in the JSON only when true, so pre-tag baselines
   /// stay comparable; bench_check never compares across the tag.
@@ -242,7 +229,7 @@ struct FleetRow {
 FleetRow run_fleet(const FleetSize& size,
                    const std::vector<core::SchedulerKind>& schedulers,
                    std::uint64_t seed, std::size_t jobs, std::size_t repeat,
-                   bool legacy_planner, bool folded_g, bool churn_rows,
+                   bool legacy_planner, bool churn_rows,
                    const std::string& events_tmp_path,
                    bench::CampaignTotals& totals) {
   core::ExperimentConfig base;
@@ -264,44 +251,19 @@ FleetRow run_fleet(const FleetSize& size,
                          : core::apply_scenario(spec, base);
 
   std::vector<core::ExperimentConfig> configs;
-  std::vector<const char*> g_modes;  // parallel to configs; null off-online
   std::vector<std::uint8_t> churn_flags;  // parallel to configs
   for (const core::SchedulerKind kind : schedulers) {
     core::ExperimentConfig config = base;
     config.scheduler = kind;
-    if (kind == core::SchedulerKind::kOnline) {
-      // Measure the online row under both G(t) engines (sweep + folded)
-      // by default; --folded-g keeps only the folded measurement.
-      if (!folded_g) {
-        core::ExperimentConfig sweep = config;
-        configs.push_back(std::move(sweep));
-        g_modes.push_back("sweep");
-        churn_flags.push_back(0);
-      }
-      config.folded_gap_accrual = true;
-      configs.push_back(config);
-      g_modes.push_back("folded");
-      churn_flags.push_back(0);
-      if (churn_rows) {
-        // Departure-aware online row, measured under the production
-        // (folded) G(t) engine.
-        config.online_churn_aware = true;
-        configs.push_back(std::move(config));
-        g_modes.push_back("folded");
-        churn_flags.push_back(1);
-      }
-    } else if (kind == core::SchedulerKind::kOffline && churn_rows) {
-      configs.push_back(config);
-      g_modes.push_back(nullptr);
-      churn_flags.push_back(0);
-      config.offline_churn_aware = true;
+    configs.push_back(config);
+    churn_flags.push_back(0);
+    if (churn_rows && (kind == core::SchedulerKind::kOnline ||
+                       kind == core::SchedulerKind::kOffline)) {
+      // The departure-aware row of the same scheme.
+      config.online_churn_aware = kind == core::SchedulerKind::kOnline;
+      config.offline_churn_aware = kind == core::SchedulerKind::kOffline;
       configs.push_back(std::move(config));
-      g_modes.push_back(nullptr);
       churn_flags.push_back(1);
-    } else {
-      configs.push_back(std::move(config));
-      g_modes.push_back(nullptr);
-      churn_flags.push_back(0);
     }
   }
   core::CampaignReport report = core::run_campaign(configs, jobs);
@@ -339,7 +301,6 @@ FleetRow run_fleet(const FleetSize& size,
       sched.knapsack_grid = static_cast<std::uint64_t>(
           core::effective_grid(core::make_planner_config(configs[k])));
     }
-    sched.g_mode = g_modes[k];
     sched.churn_aware = churn_flags[k] != 0;
     row.schedulers.push_back(sched);
   }
@@ -366,7 +327,7 @@ FleetRow run_fleet(const FleetSize& size,
       }
       std::remove(events_tmp_path.c_str());
       SchedulerRow sched = row.schedulers[k];  // copy the tags (planner,
-                                               // grid, g_mode), re-time
+                                               // grid), re-time
       sched.seconds = best_seconds;
       sched.slots_per_sec = best_seconds > 0.0
                                 ? static_cast<double>(size.horizon) /
@@ -388,10 +349,7 @@ void print_fleet(const FleetRow& row) {
   table.set_header({"scheduler", "wall (s)", "slots/s", "user-slots/s",
                     "updates", "energy (kJ)"});
   for (const SchedulerRow& sched : row.schedulers) {
-    std::string name =
-        sched.g_mode == nullptr
-            ? std::string{sched.scheduler}
-            : std::string{sched.scheduler} + " (" + sched.g_mode + ")";
+    std::string name = sched.scheduler;
     if (sched.churn_aware) name += " +churn";
     if (sched.events) name += " +events";
     table.add_row({name, util::TextTable::num(sched.seconds, 3),
@@ -438,9 +396,6 @@ void write_json(const std::string& path, bool smoke, std::size_t jobs,
         json.member("planner", sched.planner);
         json.member("knapsack_grid", sched.knapsack_grid);
       }
-      if (sched.g_mode != nullptr) {
-        json.member("g_mode", sched.g_mode);
-      }
       if (sched.events) {
         json.member("events", true);
       }
@@ -471,7 +426,6 @@ int main(int argc, char** argv) {
     const auto repeat =
         static_cast<std::size_t>(std::max<std::uint64_t>(args.get_count("repeat", 1), 1));
     const bool legacy_planner = args.get_bool("legacy-planner", false);
-    const bool folded_g = args.get_bool("folded-g", false);
     const bool events = args.get_bool("events", true);
     const bool churn_rows = args.get_bool("churn-aware", true);
     const std::string events_tmp_path =
@@ -509,7 +463,7 @@ int main(int argc, char** argv) {
     std::vector<FleetRow> rows;
     for (const FleetSize& size : sizes) {
       rows.push_back(run_fleet(size, schedulers, seed, jobs, repeat,
-                               legacy_planner, folded_g, churn_rows,
+                               legacy_planner, churn_rows,
                                events_tmp_path, totals));
       print_fleet(rows.back());
     }

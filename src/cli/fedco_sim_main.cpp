@@ -77,11 +77,6 @@ Scheduling:
   --scalar-decide      force the per-user scalar decide() path (the
                        batched one-pass evaluation is the default and is
                        bit-identical; this exists for A/B verification)
-  --folded-g           folded gap accrual: maintain G(t) from closed-form
-                       accumulators updated only at mode transitions, O(1)
-                       per slot instead of the per-slot fleet sweep.
-                       Diverges from the default only by floating-point
-                       associativity (see docs/performance.md section 8)
   --churn-aware        departure-aware scheduling: the offline planner
                        drops co-runs that cannot finish before a user's
                        leave slot and deweights deferred work near
@@ -207,9 +202,6 @@ core::ExperimentConfig effective_config(const util::ArgParser& args) {
   }
   if (args.has("scalar-decide")) {
     cfg.online_batch_decide = !args.get_bool("scalar-decide", false);
-  }
-  if (args.has("folded-g")) {
-    cfg.folded_gap_accrual = args.get_bool("folded-g", cfg.folded_gap_accrual);
   }
   if (args.has("churn-aware")) {
     // One switch for both schemes: the flag pair exists so configs can

@@ -348,7 +348,6 @@ void write_config_members(util::JsonWriter& json,
   json.member("offline_parallel_plan", config.offline_parallel_plan);
   json.member("offline_adaptive_grid", config.offline_adaptive_grid);
   json.member("online_batch_decide", config.online_batch_decide);
-  json.member("folded_gap_accrual", config.folded_gap_accrual);
   json.member("offline_churn_aware", config.offline_churn_aware);
   json.member("online_churn_aware", config.online_churn_aware);
   json.member("eta", config.eta);
@@ -492,6 +491,11 @@ ExperimentConfig config_from_json(const std::string& text) {
           config.horizon_slots = read_int(value, key);
         } else if (key == "slot_seconds") {
           config.slot_seconds = read_double(value, key);
+          if (!(std::isfinite(config.slot_seconds) &&
+                config.slot_seconds > 0.0)) {
+            throw std::invalid_argument{std::string{kLoader} + ": '" + key +
+                                        "' must be finite and > 0"};
+          }
         } else if (key == "seed") {
           config.seed = read_uint(value, key);
         } else if (key == "arrival_probability") {
@@ -528,8 +532,6 @@ ExperimentConfig config_from_json(const std::string& text) {
           config.offline_adaptive_grid = read_bool(value, key);
         } else if (key == "online_batch_decide") {
           config.online_batch_decide = read_bool(value, key);
-        } else if (key == "folded_gap_accrual") {
-          config.folded_gap_accrual = read_bool(value, key);
         } else if (key == "offline_churn_aware") {
           config.offline_churn_aware = read_bool(value, key);
         } else if (key == "online_churn_aware") {

@@ -60,16 +60,6 @@ enum class Phase { kReady, kTraining, kBarrier, kTransferring };
 /// contribute their (frozen) gap, everyone else accrues epsilon first.
 enum GapMode : unsigned char { kGapAbsent = 0, kGapTraining = 1, kGapAccrue = 2 };
 
-/// Per-user gap bookkeeping, packed into one flags byte: the Eq. 12 mode in
-/// the low bits plus the lazy-accrual purity bit (an impure base — a dropped
-/// upload left a non-zero gap accruing — replays slot by slot instead of
-/// reading the shared epsilon-chain table). Packing the purity bit here
-/// frees gap_chain_ from its historical -1 sentinel, so chains fit int32.
-enum GapFlags : unsigned char {
-  kGapModeMask = 0x03,
-  kGapImpure = 0x04,
-};
-
 /// One independent reader over a user's arrival sequence. The driver runs
 /// three per user (live session, replay session, scheduler oracle), each at
 /// its own position. `at` is the next unconsumed arrival (the kNoArrival
@@ -130,7 +120,7 @@ struct UserState {
   SessionMachine live_sess;
   SessionMachine replay_sess;
 
-  /// Lazy-accrual watermark: energy/gap/battery/thermal state reflects every
+  /// Lazy-accrual watermark: energy/battery/thermal state reflects every
   /// slot through `synced` (-1 = nothing applied yet). Between events the
   /// per-slot accrual sequence is replayed verbatim when the user is next
   /// touched, so batched catch-up is bit-identical to the eager slot loop.
@@ -308,11 +298,12 @@ void check_lyapunov_knobs(const ExperimentConfig& cfg) {
 /// the driver keeps a min-heap of per-user next-event slots (session/phase
 /// ends, arrival cursors, presence-window joins/leaves) and only touches a
 /// user when its state can actually change. Idle-state quantities (energy,
-/// gap, battery, thermal) are accrued lazily from the per-user `synced`
+/// battery, thermal) are accrued lazily from the per-user `synced`
 /// watermark: when an event or a read touches a user, the elapsed slots are
-/// replayed with exactly the per-slot operation sequence of the eager loop,
-/// so every observable stays bit-identical (the golden FNV fingerprint
-/// suites pin this). See docs/performance.md for the full model.
+/// replayed with exactly the per-slot operation sequence of the eager loop
+/// (the golden FNV fingerprint suites pin this). Gaps follow the folded
+/// closed form instead (FoldedGapAccrual), which makes G(t) O(1) per slot.
+/// See docs/performance.md for the full model.
 class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
  public:
   Driver(const ExperimentConfig& cfg, const RunHooks& hooks)
@@ -331,10 +322,16 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
       throw std::invalid_argument{"run_experiment: empty horizon"};
     }
     if (cfg.horizon_slots > std::numeric_limits<std::int32_t>::max()) {
-      // The per-user gap-chain lengths and folded-accrual anchors are int32
-      // columns (they are bounded by the horizon); a 2^31-slot horizon is
-      // 68 years of 1 s slots, far past any meaningful run.
+      // The folded-accrual anchors are an int32 column (bounded by the
+      // horizon); a 2^31-slot horizon is 68 years of 1 s slots, far past
+      // any meaningful run.
       throw std::invalid_argument{"run_experiment: horizon exceeds 2^31 slots"};
+    }
+    if (!(std::isfinite(cfg.slot_seconds) && cfg.slot_seconds > 0.0)) {
+      // sim::Clock would silently run a non-positive slot as 1 s while the
+      // driver's own arithmetic used the raw value.
+      throw std::invalid_argument{
+          "run_experiment: slot_seconds must be finite and > 0"};
     }
     if (cfg.record_interval <= 0) {
       throw std::invalid_argument{
@@ -366,15 +363,6 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
     }
     model_bytes_ = cfg.model_bytes;
     scheduler_ = make_scheduler(cfg_);
-    // Gap-accounting mode. Default: strategies consuming exact per-slot
-    // totals (the Lyapunov queue updates) pay the per-slot fleet sweep;
-    // everything else accrues lazily on the shared epsilon chain. Folded
-    // mode (config.folded_gap_accrual) replaces both with the closed-form
-    // accumulator engine: G(t) in O(1), per-user reads evaluated on demand.
-    needs_totals_ = scheduler_->needs_slot_totals();
-    folded_ = cfg_.folded_gap_accrual;
-    sweep_gaps_ = needs_totals_ && !folded_;
-    chain_mode_ = !needs_totals_ && !folded_;
     charges_overhead_ = scheduler_->charges_decision_overhead();
     // The battery gate is evaluated (and counted) per ready user per slot,
     // so when it can fire, ready users cannot be parked.
@@ -451,24 +439,15 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
                                   : std::nullopt;
   }
 
-  [[nodiscard]] double user_gap(std::size_t user) override {
+  [[nodiscard]] double user_gap(std::size_t user) const override {
     // Gap state as of the end of slot t-1, exactly what the eager loop's
-    // decide/replan phase observed. Both lazy paths materialize into the
-    // gap column on read — which is why this accessor is non-const.
-    if (folded_) {
-      if ((gap_flags_[user] & kGapModeMask) == kGapAccrue) {
-        gap_[user] = fold_.eval(user, cur_ - 1);
-      }
-      return gap_[user];  // frozen/absent values are pinned in the column
-    }
-    if (!sweep_gaps_) catch_up(user, cur_ - 1);
-    return gap_[user];
+    // decide/replan phase observed.
+    return gap_at(user, cur_ - 1);
   }
 
   [[nodiscard]] const double* gap_values() const noexcept override {
-    // Exact only for per-slot-total strategies (see the interface comment):
-    // the sweep keeps every row fresh; folded mode refreshes the due rows
-    // from the closed form before each decide_batch (decide_ready).
+    // Exact for the due users of a decide_batch: fill_decide_inputs
+    // refreshes their rows from the closed form (see the interface comment).
     return gap_.data();
   }
 
@@ -529,12 +508,10 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
                                      : device::kAppKinds;
       app_column[k] = static_cast<unsigned char>(column);
       end_slot[k] = t + lag_slots_[h.dev_kind][column];
-      if (folded_) {
-        // Due users are ready and present, hence accruing: refresh their
-        // rows from the closed form so gap_values() honours its flat-array
-        // contract for the batched Eq. (21) decide.
-        gap_[i] = fold_.eval(i, t - 1);
-      }
+      // Due users are ready and present, hence accruing: refresh their rows
+      // from the closed form so gap_values() honours its flat-array
+      // contract for the batched Eq. (21) decide.
+      gap_[i] = fold_.eval(i, t - 1);
     }
   }
 
@@ -706,14 +683,10 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
     users_.resize(cfg_.num_users);
     decide_hot_.assign(cfg_.num_users, DecideHot{});
     gap_.assign(cfg_.num_users, 0.0);
-    // Everyone starts absent/pure; the set_mode(i, 0) below performs the
-    // real slot-0 classification (and, in folded mode, the initial
-    // accumulator attach). Chain columns exist only on the lazy path, the
-    // fold columns only in folded mode — the other mode's bookkeeping is
-    // never allocated (the 1M-row footprint lever, docs/performance.md §8).
-    gap_flags_.assign(cfg_.num_users, kGapAbsent);
-    if (chain_mode_) gap_chain_.assign(cfg_.num_users, 0);
-    if (folded_) fold_.init(cfg_.num_users, cfg_.epsilon);
+    // Everyone starts absent; the set_mode(i, 0) below performs the real
+    // slot-0 classification and the initial accumulator attach.
+    gap_mode_.assign(cfg_.num_users, kGapAbsent);
+    fold_.init(cfg_.num_users, cfg_.epsilon);
     data::Partition partition;
     if (cfg_.real_training) {
       util::Rng part_rng = master_rng_.fork();
@@ -1048,21 +1021,14 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
     decide_ready(t);
     result_.summary.timing.decide_s += watch_.lap_s();
 
-    // 4. Gap accumulation (Eq. 12 idle branch) and queue updates. Only
-    //    strategies consuming exact per-slot totals pay the fleet sweep;
-    //    otherwise gaps accrue lazily and G(t) is materialized at record
-    //    slots. Folded mode answers G(t) from the closed-form accumulators
-    //    in O(1) on either path. (Energy accrues lazily in every mode —
-    //    see catch_up.)
-    double sum_gaps = 0.0;
+    // 4. Gap accumulation (Eq. 12 idle branch) and queue updates: G(t) from
+    //    the folded closed-form accumulators in O(1). (Energy accrues
+    //    lazily — see catch_up.)
+    const double sum_gaps = fold_.sum(t);
     const bool record = t % cfg_.record_interval == 0;
-    if (folded_) {
-      if (needs_totals_ || record) sum_gaps = fold_.sum(t);
-    } else if (sweep_gaps_) {
-      sum_gaps = sweep_gap_slot();
-    } else if (record) {
-      sum_gaps = materialize_gap_sum(t);
-    }
+#ifndef NDEBUG
+    if (record) audit_gap_sum(t, sum_gaps);
+#endif
     scheduler_->on_slot_end(slot_arrivals_, slot_served_ + slot_departed_,
                             sum_gaps);
     queue_q_stats_.add(scheduler_->queue_q());
@@ -1080,13 +1046,8 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
       result_.traces.record("G", now_s, sum_gaps);
       if (cfg_.record_per_user_gaps) {
         for (std::size_t i = 0; i < users_.size(); ++i) {
-          // Folded accruing gaps are evaluated on demand; end-of-slot-t
-          // values, matching what the sweep (or materialize) left behind.
-          if (folded_ && (gap_flags_[i] & kGapModeMask) == kGapAccrue) {
-            gap_[i] = fold_.eval(i, t);
-          }
           result_.traces.record("gap_user" + std::to_string(i), now_s,
-                                gap_[i]);
+                                gap_at(i, t));
         }
       }
     }
@@ -1254,7 +1215,7 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
           if (screen_live_ && a + 64 < hot_ready_.size()) {
             // Ascending but sparse member indices defeat the hardware
             // prefetcher on the gap rows; hint the next members' lines.
-            prefetch_decide_gap(hot_ready_[a + 64].user);
+            fold_.prefetch(hot_ready_[a + 64].user);
           }
           // Idle screen: a member whose cached class is still current and
           // whose gap is below the class floor is a certain kIdle — marked
@@ -1270,6 +1231,14 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
         }
       } else {
         i = decide_scratch_[b++];
+        // Each user is consulted at most once per slot. The scratch list is
+        // ascending but may repeat a user (a join and a stale wake in one
+        // slot) or name a hot member (a stale wake after a rejoin); the
+        // duplicate entry is dropped and the hot member is consulted below.
+        if ((b >= 2 && decide_scratch_[b - 2] == i) ||
+            (a < hot_ready_.size() && hot_ready_[a].user == i)) {
+          continue;
+        }
       }
       screen(i, t);
     }
@@ -1293,14 +1262,14 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
   }
 
   /// Ask the strategy for this slot's idle floors (Scheduler::idle_screen).
-  /// Candidates are screened from their decide class and the gap row the
+  /// Candidates are screened from their decide class and the gap the
   /// batched decide would read — so not with the battery gate armed (it
-  /// is checked before the strategy, per slot) nor on the lazy chain path
-  /// (its gaps materialize on access). Below kMinScreenedCandidates the
-  /// per-class floors cost more than the consults they save.
+  /// is checked before the strategy, per slot). Below
+  /// kMinScreenedCandidates the per-class floors cost more than the
+  /// consults they save.
   [[nodiscard]] bool open_idle_screen(sim::Slot t) {
     const std::size_t candidates = hot_ready_.size() + decide_scratch_.size();
-    if (gate_ready_hot_ || chain_mode_ || candidates < kMinScreenedCandidates) {
+    if (gate_ready_hot_ || candidates < kMinScreenedCandidates) {
       return false;
     }
     // Straight from the index, not through cached_lag_count: 36 entries
@@ -1319,26 +1288,12 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
   }
 
   /// The idle screen's test: the entry's class is current at t and the
-  /// user's gap is below this slot's class floor.
+  /// user's gap — the closed form fill_decide_inputs would refresh its row
+  /// with (a ready, present user accrues) — is below this slot's class
+  /// floor.
   [[nodiscard]] bool certain_idle(const HotEntry& e, sim::Slot t) const {
     return t < e.class_until() &&
-           decide_gap(e.user, t) < idle_screen_.floor[e.cls()];
-  }
-
-  /// The gap row a ready, present user's batched decide reads at slot t:
-  /// the swept column, or in folded mode the closed form fill_decide_inputs
-  /// would refresh it with.
-  [[nodiscard]] double decide_gap(std::uint32_t i, sim::Slot t) const {
-    return folded_ ? fold_.eval(i, t - 1) : gap_[i];
-  }
-
-  /// Hint the cache lines decide_gap(i, ...) reads.
-  void prefetch_decide_gap(std::uint32_t i) const {
-    if (folded_) {
-      fold_.prefetch(i);
-    } else {
-      __builtin_prefetch(&gap_[i]);
-    }
+           fold_.eval(e.user, t - 1) < idle_screen_.floor[e.cls()];
   }
 
   /// The hot-set entry of ready user i after an idle decide at slot t: its
@@ -1487,26 +1442,20 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
            u.phase == Phase::kTransferring;
   }
 
+  /// Reclassify user i for the Eq. 12 dynamics at slot t and move it
+  /// between the folded accumulator classes — the only place the G(t)
+  /// accumulators are touched, which is what makes the slot
+  /// O(transitions). The caller has already written the transition's gap
+  /// value into gap_[i] (the frozen gradient gap before a training freeze,
+  /// 0.0 after an applied update); accrue attachments start their closed
+  /// form from it.
   void set_mode(std::size_t i, sim::Slot t) {
     const UserState& u = users_[i];
     const unsigned char mode =
         u.phase == Phase::kTraining
             ? kGapTraining
             : (present(u, t) ? kGapAccrue : kGapAbsent);
-    if (folded_) fold_retag(i, t, mode);
-    gap_flags_[i] =
-        static_cast<unsigned char>((gap_flags_[i] & ~kGapModeMask) | mode);
-  }
-
-  /// Folded mode: move user i between Eq. 12 accumulator classes at slot t
-  /// — the only place the G(t) accumulators are touched, which is what
-  /// makes the folded slot O(transitions). The caller has already written
-  /// the transition's gap value into gap_[i] (the frozen gradient gap
-  /// before a training freeze, 0.0 after an applied update); accrue
-  /// attachments start their closed form from it.
-  void fold_retag(std::size_t i, sim::Slot t, unsigned char mode) {
-    const unsigned char old =
-        static_cast<unsigned char>(gap_flags_[i] & kGapModeMask);
+    const unsigned char old = gap_mode_[i];
     if (old == mode) return;
     if (old == kGapAccrue) {
       if (mode == kGapAbsent) {
@@ -1523,21 +1472,33 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
     } else if (mode == kGapTraining) {
       fold_.attach_frozen(i, gap_[i]);
     }
+    gap_mode_[i] = mode;
   }
 
-  /// Reset a user's lazy-chain bookkeeping after its gap column was
-  /// rewritten: pure (a zero reset rejoins the shared epsilon chain) or
-  /// impure (a non-zero base must replay slot by slot). No-op outside
-  /// chain mode — the sweep and folded paths keep no chains.
-  void reset_chain(std::size_t i, bool pure) {
-    if (!chain_mode_) return;
-    if (pure) {
-      gap_chain_[i] = 0;
-      gap_flags_[i] = static_cast<unsigned char>(gap_flags_[i] & ~kGapImpure);
-    } else {
-      gap_flags_[i] = static_cast<unsigned char>(gap_flags_[i] | kGapImpure);
-    }
+  /// User i's gap at the end of slot t: the closed form while it accrues,
+  /// the pinned column value otherwise (frozen while training, final while
+  /// absent).
+  [[nodiscard]] double gap_at(std::size_t i, sim::Slot t) const {
+    return gap_mode_[i] == kGapAccrue ? fold_.eval(i, t) : gap_[i];
   }
+
+#ifndef NDEBUG
+  /// Debug-build audit of the folded G(t) against the direct sum over
+  /// present users at a record slot. The accumulators only see class
+  /// transitions, so a transition the driver skips or repeats (a user
+  /// started training twice in one slot) shows up here as drift.
+  void audit_gap_sum(sim::Slot t, double folded) const {
+    double direct = 0.0;
+    for (std::size_t i = 0; i < users_.size(); ++i) {
+      if (gap_mode_[i] != kGapAbsent) direct += gap_at(i, t);
+    }
+    // Relative 1e-9, absolute below G = 1 (a fleet that just emptied
+    // leaves rounding residue in the accumulators).
+    assert(std::abs(folded - direct) <=
+               1e-9 * std::max({std::abs(direct), std::abs(folded), 1.0}) &&
+           "folded G(t) diverged from the direct per-user sum");
+  }
+#endif
 
   /// Reconcile the user's membership in active_present_ (present users not
   /// at the barrier) with its current phase/presence. Called after every
@@ -1595,39 +1556,17 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
   }
 
   /// Replay the per-slot accrual sequence for every slot in (u.synced, upto]
-  /// — the bit-exact equivalent of the eager loop's energy/gap/battery/
-  /// thermal bookkeeping for a span in which the user's phase and presence
+  /// — the bit-exact equivalent of the eager loop's energy/battery/thermal
+  /// bookkeeping for a span in which the user's phase and presence
   /// are constant (guaranteed: both only change through events, which catch
   /// up before mutating). The session timeline segments the span; each
   /// segment accrues a constant per-slot energy quantum.
   void catch_up(std::size_t index, sim::Slot upto) {
     UserState& u = users_[index];
     if (u.synced >= upto) return;
-    const unsigned char flags = gap_flags_[index];
-    const unsigned char mode =
-        static_cast<unsigned char>(flags & kGapModeMask);
-    if (mode == kGapAbsent) {
+    if (gap_mode_[index] == kGapAbsent) {
       u.synced = upto;  // absent users burn nothing and never tick
       return;
-    }
-    if (chain_mode_ && mode == kGapAccrue) {
-      const sim::Slot slots = upto - u.synced;
-      if ((flags & kGapImpure) == 0) {
-        // The gap is a pure epsilon chain from 0.0 (the common case: every
-        // update settles the gap to zero) — the continuation of that chain
-        // is user-independent, so it is read from the shared prefix table
-        // instead of being re-added slot by slot. Bit-identical below the
-        // table's tail threshold: the table is built by the same
-        // sequential additions.
-        gap_chain_[index] += static_cast<std::int32_t>(slots);
-        gap_[index] = eps_chain_.value(gap_chain_[index]);
-      } else {
-        // Impure base (a dropped upload left a non-zero gap accruing):
-        // replay the additions verbatim.
-        double gap = gap_[index];
-        for (sim::Slot s = 0; s < slots; ++s) gap += cfg_.epsilon;
-        gap_[index] = gap;
-      }
     }
     const bool training = u.phase == Phase::kTraining;
     const device::Decision decision =
@@ -1676,34 +1615,6 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
       s = seg_end + 1;
     }
     u.synced = upto;
-  }
-
-  /// The per-slot gap sweep (strategies consuming exact slot totals): the
-  /// eager loop's Eq. 12 accrual + G(t) summation in user-index order.
-  double sweep_gap_slot() {
-    double sum = 0.0;
-    const double epsilon = cfg_.epsilon;
-    const std::size_t n = users_.size();
-    for (std::size_t i = 0; i < n; ++i) {
-      const unsigned char mode =
-          static_cast<unsigned char>(gap_flags_[i] & kGapModeMask);
-      if (mode == kGapAbsent) continue;
-      if (mode == kGapAccrue) gap_[i] += epsilon;
-      sum += gap_[i];
-    }
-    return sum;
-  }
-
-  /// Lazy-mode G(t) at a record slot: materialize every present user's gap
-  /// (and, incidentally, energy) through slot t, summing in index order.
-  double materialize_gap_sum(sim::Slot t) {
-    double sum = 0.0;
-    for (std::size_t i = 0; i < users_.size(); ++i) {
-      if ((gap_flags_[i] & kGapModeMask) == kGapAbsent) continue;
-      catch_up(i, t);
-      sum += gap_[i];
-    }
-    return sum;
   }
 
   // ------------------------------------------------------------- decisions
@@ -1795,7 +1706,6 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
     gap_[index] = fl::gradient_gap(
         cfg_.eta, cfg_.beta, expected_lag(u, status, u.train_app, t),
         momentum_norm());
-    reset_chain(index, gap_[index] == 0.0);
     u.phase = Phase::kTraining;
     u.phase_end = t + std::max<sim::Slot>(clock_.slots_for_seconds(duration), 1);
     if (cfg_.real_training) {
@@ -1880,7 +1790,6 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
       record_update(index, now_s, lag, gap);
     }
     gap_[index] = 0.0;
-    reset_chain(index, true);
     scheduler_->on_update_applied(index, t);
     begin_transfer(index, t);
   }
@@ -1888,7 +1797,6 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
   void park_at_barrier(std::size_t index, sim::Slot t) {
     UserState& u = users_[index];
     gap_[index] = 0.0;
-    reset_chain(index, true);
     scheduler_->on_update_applied(index, t);
     u.phase = Phase::kBarrier;
     ++barrier_count_;
@@ -2062,23 +1970,14 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
   /// Per-user scheduling weights (VIP classes). Left unallocated for the
   /// common all-1.0 fleet — user_priority answers 1.0 without a table.
   std::vector<double> priority_;
-  /// Per-user gap values g_i (Eq. 12) and their per-slot classification —
-  /// flat arrays so the sweep walks them cache-linearly.
+  /// Per-user gap values g_i (Eq. 12): exact while a user trains or is
+  /// absent, the base of the closed form while it accrues (see gap_at),
+  /// and refreshed for the due users of each decide batch.
   std::vector<double> gap_;
-  /// Packed GapFlags byte per user: the Eq. 12 mode in the low bits, the
-  /// lazy purity bit above them.
-  std::vector<unsigned char> gap_flags_;
-  /// Chain mode only (left unallocated otherwise): gap_[i] ==
-  /// eps_chain_.value(gap_chain_[i]) while kGapImpure is clear (pure chain
-  /// from a zero reset); impure bases replay slot by slot and ignore this
-  /// column. int32: chain lengths are bounded by the horizon, which the
-  /// ctor guards below 2^31.
-  std::vector<std::int32_t> gap_chain_;
-  /// Shared prefix table of the pure epsilon chain (chain-mode reads;
-  /// bounded — see EpsChainTable).
-  EpsChainTable eps_chain_{cfg_.epsilon};
+  /// Per-user GapMode for the current slot.
+  std::vector<unsigned char> gap_mode_;
   /// Folded-accrual engine: closed-form per-user gaps and the O(1) G(t)
-  /// accumulators (folded mode only; empty otherwise).
+  /// accumulators.
   FoldedGapAccrual fold_;
   std::vector<apps::ScriptedArrivals::Event> trace_events_;  ///< CSV replay
   /// Trace-driven fleet (cfg.arrival_trace_dir): loaded once on first use.
@@ -2123,12 +2022,6 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
   std::vector<std::uint32_t> left_ready_;      ///< ready users that left this slot
   std::size_t barrier_count_ = 0;    ///< users parked at the sync barrier
   std::size_t active_present_ = 0;   ///< present users not at the barrier
-  // Gap-accounting mode flags, resolved once in the ctor (see the comment
-  // there): exactly one of sweep_gaps_ / chain_mode_ / folded_ is active.
-  bool needs_totals_ = false;  ///< scheduler consumes exact per-slot G(t)
-  bool folded_ = false;        ///< cfg.folded_gap_accrual
-  bool chain_mode_ = false;    ///< lazy epsilon-chain accrual
-  bool sweep_gaps_ = true;
   bool charges_overhead_ = false;
   bool gate_ready_hot_ = false;
   sim::Slot cur_ = 0;

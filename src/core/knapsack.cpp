@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <numeric>
 #include <stdexcept>
@@ -33,31 +34,63 @@ std::vector<std::size_t> weight_units(const std::vector<KnapsackItem>& items,
   return units;
 }
 
+/// 64-bit words per take/skip row: bit y of row i is set when item i is
+/// taken at budget y. All rows of one DP live in one flat allocation.
+std::size_t row_words(std::size_t grid) { return grid / 64 + 1; }
+
+bool taken(const std::vector<std::uint64_t>& rows, std::size_t words,
+           std::size_t i, std::size_t y) {
+  return ((rows[i * words + y / 64] >> (y % 64)) & 1U) != 0;
+}
+
 /// One Eq. (8) DP row update for item (units_i, value_i), rolled in place
-/// over `best`; `row` receives the take/skip bits for backtracking.
-void dp_item_row(std::vector<double>& best, std::vector<bool>& row,
+/// over `best`; writes every word of `row` (the take bits, zero elsewhere).
+///
+/// Each cell is best[y] = max(best[y], best[y - units_i] + value_i) with
+/// its take bit, computed without a data-dependent branch (a select and a
+/// compare), and each row word is stored once. Cells run downwards, so
+/// every best[y - units_i] read is still the previous item's value, as in
+/// the textbook rolled DP, and the results are bit-identical to its
+/// `if (take > best[y])` form (`take > cur ? take : cur` keeps cur on a
+/// NaN exactly as the branch does). The point is steady replan time: the
+/// branchy loop and a two-lane SSE2 version of this one both swung up to
+/// 2x between runs on a shared host, this scalar form about half as much
+/// (docs/performance.md §11).
+void dp_item_row(std::vector<double>& best, std::uint64_t* row,
                  std::size_t units_i, double value_i, std::size_t grid) {
-  if (units_i > grid || value_i <= 0.0) return;  // cannot/no-gain
-  for (std::size_t y = grid + 1; y-- > units_i;) {
-    const double take = best[y - units_i] + value_i;
-    if (take > best[y]) {
-      best[y] = take;
-      row[y] = true;
+  const std::size_t words = row_words(grid);
+  if (units_i > grid || value_i <= 0.0) {  // cannot/no-gain
+    std::fill_n(row, words, std::uint64_t{0});
+    return;
+  }
+  double* const b = best.data();
+  const std::size_t first = units_i / 64;  // lowest word with a cell
+  std::fill_n(row, first, std::uint64_t{0});
+  for (std::size_t w = words; w-- > first;) {
+    const std::size_t lo = std::max(units_i, w * 64);
+    std::uint64_t bits = 0;
+    for (std::size_t y = std::min(grid, w * 64 + 63) + 1; y-- > lo;) {
+      const double take = b[y - units_i] + value_i;
+      const double cur = b[y];
+      const bool t = take > cur;
+      b[y] = t ? take : cur;
+      bits |= static_cast<std::uint64_t>(t) << (y % 64);
     }
+    row[w] = bits;
   }
 }
 
 /// Standard backtrack over the per-item choice rows, accumulating the
-/// selected set and totals in decreasing item order. `rows[first + k]`
-/// holds item `items_offset + k`'s row; `budget` is the starting grid cell.
+/// selected set and totals in decreasing item order. `rows` holds item
+/// i's row at row index i; `budget` is the starting grid cell.
 void backtrack_rows(const std::vector<KnapsackItem>& items,
                     const std::vector<std::size_t>& units,
-                    const std::vector<std::vector<bool>>& rows,
+                    const std::vector<std::uint64_t>& rows, std::size_t words,
                     std::size_t begin, std::size_t end, std::size_t budget,
                     KnapsackSolution& solution) {
   std::size_t y = budget;
   for (std::size_t i = end; i-- > begin;) {
-    if (rows[i][y]) {
+    if (taken(rows, words, i, y)) {
       solution.selected[i] = true;
       solution.total_value += items[i].value;
       solution.total_weight += items[i].weight;
@@ -78,13 +111,14 @@ KnapsackSolution solve_knapsack(const std::vector<KnapsackItem>& items,
 
   // S_i(y): best value using items < i with weight budget y (Eq. 8), rolled
   // into one row; `choice` keeps the take/skip bit for backtracking.
+  const std::size_t words = row_words(grid);
   std::vector<double> best(grid + 1, 0.0);
-  std::vector<std::vector<bool>> choice(items.size(),
-                                        std::vector<bool>(grid + 1, false));
+  std::vector<std::uint64_t> choice(items.size() * words);
   for (std::size_t i = 0; i < items.size(); ++i) {
-    dp_item_row(best, choice[i], units[i], items[i].value, grid);
+    dp_item_row(best, &choice[i * words], units[i], items[i].value, grid);
   }
-  backtrack_rows(items, units, choice, 0, items.size(), grid, solution);
+  backtrack_rows(items, units, choice, words, 0, items.size(), grid,
+                 solution);
   return solution;
 }
 
@@ -127,16 +161,17 @@ KnapsackSolution KnapsackSolver::solve(const std::vector<KnapsackItem>& items,
                                  ? std::vector<double>(grid + 1, 0.0)
                                  : checkpoints_[checkpoint - 1];
   checkpoints_.resize(checkpoint);
-  choice_.resize(items.size());
+  const std::size_t words = row_words(grid);
+  choice_.resize(items.size() * words);
   for (std::size_t i = start; i < items.size(); ++i) {
-    choice_[i].assign(grid + 1, false);
-    dp_item_row(best, choice_[i], units[i], items[i].value, grid);
+    dp_item_row(best, &choice_[i * words], units[i], items[i].value, grid);
     if ((i + 1) % kCheckpointStride == 0) checkpoints_.push_back(best);
   }
   items_ = items;
   capacity_ = capacity;
   grid_ = grid;
-  backtrack_rows(items, units, choice_, 0, items.size(), grid, solution);
+  backtrack_rows(items, units, choice_, words, 0, items.size(), grid,
+                 solution);
   return solution;
 }
 
@@ -195,12 +230,12 @@ class GroupedRangeDp {
   /// Run the DP (separate from construction so shard tasks own the heavy
   /// part end to end).
   void solve() {
+    const std::size_t words = row_words(grid_);
     best_.assign(grid_ + 1, 0.0);
-    choice_.assign(pseudos_.size(), {});
+    choice_.resize(pseudos_.size() * words);
     for (std::size_t p = 0; p < pseudos_.size(); ++p) {
-      choice_[p].assign(grid_ + 1, false);
-      dp_item_row(best_, choice_[p], pseudos_[p].units, pseudos_[p].value,
-                  grid_);
+      dp_item_row(best_, &choice_[p * words], pseudos_[p].units,
+                  pseudos_[p].value, grid_);
     }
   }
 
@@ -211,9 +246,10 @@ class GroupedRangeDp {
   /// Mark the range's selections for `budget` grid cells in `selected`.
   void backtrack(std::size_t budget, std::vector<bool>& selected) const {
     std::vector<std::size_t> counts(class_begin_.size() - 1, 0);
+    const std::size_t words = row_words(grid_);
     std::size_t y = budget;
     for (std::size_t p = pseudos_.size(); p-- > 0;) {
-      if (choice_[p][y]) {
+      if (taken(choice_, words, p, y)) {
         counts[pseudos_[p].klass] += pseudos_[p].count;
         y -= pseudos_[p].units;
       }
@@ -239,7 +275,7 @@ class GroupedRangeDp {
   std::vector<std::size_t> class_begin_; ///< class c = members_[begin..begin')
   std::vector<Pseudo> pseudos_;
   std::vector<double> best_;
-  std::vector<std::vector<bool>> choice_;  ///< per pseudo-item row
+  std::vector<std::uint64_t> choice_;  ///< take/skip rows, per pseudo-item
 };
 
 /// Selected totals accumulated in ascending item order (the grouped

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 namespace fedco::util {
@@ -91,7 +92,8 @@ class KnapsackSolver {
   std::size_t grid_ = 0;
   /// checkpoints_[c] = the rolled DP row after the first c * stride items.
   std::vector<std::vector<double>> checkpoints_;
-  std::vector<std::vector<bool>> choice_;  ///< take/skip bits per item row
+  /// Take/skip bits, one row of grid / 64 + 1 words per item.
+  std::vector<std::uint64_t> choice_;
   std::size_t last_prefix_reused_ = 0;
 };
 

@@ -101,16 +101,13 @@ class SchedulerContext {
   [[nodiscard]] virtual std::optional<device::AppKind> user_app(
       std::size_t user) = 0;
   /// Accumulated gradient gap g_i (Eq. 12) of the user, as of the end of
-  /// the previous slot. Non-const: reading a lazily-accrued (or folded
-  /// closed-form) gap materializes it into the driver's gap column.
-  [[nodiscard]] virtual double user_gap(std::size_t user) = 0;
+  /// the previous slot (evaluated from the driver's folded closed form).
+  [[nodiscard]] virtual double user_gap(std::size_t user) const = 0;
   /// Flat per-user gap array behind user_gap() — the SoA view batched
-  /// decide passes read instead of one virtual call per user. Only exact
-  /// for strategies consuming per-slot totals (needs_slot_totals() true):
-  /// the driver keeps their rows fresh, via the per-slot sweep or — in
-  /// folded-accrual mode — by refreshing the due users' rows from the
-  /// closed form before each decide_batch. Lazy-accrual gaps materialize
-  /// on access, so lazy-mode strategies must keep using user_gap().
+  /// decide passes read instead of one virtual call per user. Exact only
+  /// for the due users of the current decide_batch: fill_decide_inputs
+  /// refreshes their rows from the closed form. Other rows may be stale,
+  /// so any other read must go through user_gap().
   [[nodiscard]] virtual const double* gap_values() const noexcept = 0;
   /// Server-side momentum norm ||v_t|| (real or synthetic model).
   [[nodiscard]] virtual double momentum_norm() const = 0;
@@ -304,7 +301,8 @@ class Scheduler {
   }
 
   /// End-of-slot bookkeeping: A(t) users became ready, b(t) were scheduled,
-  /// G(t) is the summed per-user gap (the Eq. 15/16 inputs).
+  /// G(t) is the summed per-user gap (the Eq. 15/16 inputs), read in O(1)
+  /// from the driver's folded accumulators (core/gap_accrual.hpp).
   virtual void on_slot_end(double arrivals, double served, double sum_gaps) {
     (void)arrivals;
     (void)served;
@@ -312,19 +310,6 @@ class Scheduler {
   }
 
   // ------------------------------------------------------ policy traits
-
-  /// Does on_slot_end consume exact per-slot totals — in particular the
-  /// summed fleet gap G(t)? True (the safe default) makes the driver run a
-  /// per-slot O(n) gap sweep; strategies that ignore the argument (no
-  /// Lyapunov queues) return false, and the driver then accrues gaps
-  /// lazily, materializing G(t) only at trace-record slots. When false,
-  /// on_slot_end may receive 0 for sum_gaps between record slots. Under
-  /// config.folded_gap_accrual the sweep is replaced by the O(1)
-  /// folded-accrual accumulators (core/gap_accrual.hpp) and G(t) stays
-  /// exact per slot up to floating-point associativity.
-  [[nodiscard]] virtual bool needs_slot_totals() const noexcept {
-    return true;
-  }
 
   /// Parking promise for the event-driven driver. Called after decide()
   /// returned kIdle for a ready `user` at slot `t`: the strategy guarantees

@@ -53,9 +53,8 @@ void OnlineLyapunovScheduler::decide_batch(const std::uint32_t* users,
   const double q = online_.queues().q();
   const double h = online_.queues().h();
   const double momentum = momentum_norm_;
-  // Fresh for every due user: the per-slot sweep keeps all rows exact, and
-  // folded mode refreshes the due rows from the closed form during the
-  // prefill below.
+  // Fresh for every due user: the prefill below refreshes the due rows from
+  // the closed form.
   const double* gaps = ctx.gap_values();
   // One driver pass fills the per-user session column and lag query point;
   // the decision loop then runs over flat arrays, with the single

@@ -10,11 +10,6 @@
 #      different RNG layouts sample different arrivals.
 #   6. A fleet whose process_peak_rss_mib grew beyond --max-rss-growth-pct
 #      exits 1 with a FAIL row; growth inside the tolerance stays OK.
-#   7. Online rows carry a "g_mode" tag (sweep vs folded G(t) engines, the
-#      PR 7 closed-form accumulators): an untagged baseline row paired
-#      with a tagged candidate SKIPs (mode change, not a regression), and
-#      when both documents tag their rows the matcher pairs them per
-#      engine — a folded regression FAILs while the sweep row stays OK.
 #   8. Rows measured with the JSONL event emitter attached carry an
 #      "events": true tag (PR 8): when both documents tag their rows the
 #      matcher pairs per tag (an events-on regression FAILs while the
@@ -186,67 +181,6 @@ if(NOT wide_rc EQUAL 0)
 endif()
 if(NOT wide_out MATCHES "OK.*peak RSS")
   message(FATAL_ERROR "widened RSS tolerance printed no OK RSS row:\n${wide_out}")
-endif()
-
-# 7a. Untagged baseline online row vs a candidate measured under the
-#     folded G(t) engine: SKIP even with cratered numbers (the tag-blind
-#     fallback match pairs them, the g_mode check rejects the pair). The
-#     untouched Immediate row keeps the comparison non-empty -> exit 0.
-file(WRITE ${work_dir}/g_base_untagged.json
-"{\"bench\":\"scale\",\"smoke\":true,\"jobs\":1,\"timing\":\"serial\",\"seed\":1,\"fleets\":[\
-{\"num_users\":100,\"horizon_slots\":600,\"wall_seconds\":1.0,\"process_peak_rss_mib\":10.0,\"schedulers\":[\
-{\"scheduler\":\"Online\",\"seconds\":0.5,\"slots_per_sec\":1000.0,\"user_slots_per_sec\":100000.0,\"updates\":5,\"energy_kj\":1.0},\
-{\"scheduler\":\"Immediate\",\"seconds\":0.5,\"slots_per_sec\":900.0,\"user_slots_per_sec\":90000.0,\"updates\":5,\"energy_kj\":1.0}\
-]}]}\n")
-file(WRITE ${work_dir}/g_tagged.json
-"{\"bench\":\"scale\",\"smoke\":true,\"jobs\":1,\"timing\":\"serial\",\"seed\":1,\"fleets\":[\
-{\"num_users\":100,\"horizon_slots\":600,\"wall_seconds\":1.0,\"process_peak_rss_mib\":10.0,\"schedulers\":[\
-{\"scheduler\":\"Online\",\"seconds\":5.0,\"slots_per_sec\":100.0,\"user_slots_per_sec\":10000.0,\"updates\":5,\"energy_kj\":1.0,\"g_mode\":\"folded\"},\
-{\"scheduler\":\"Immediate\",\"seconds\":0.5,\"slots_per_sec\":900.0,\"user_slots_per_sec\":90000.0,\"updates\":5,\"energy_kj\":1.0}\
-]}]}\n")
-execute_process(
-  COMMAND ${BENCH_CHECK} --baseline ${work_dir}/g_base_untagged.json
-          --candidate ${work_dir}/g_tagged.json
-  OUTPUT_VARIABLE gmode_out ERROR_VARIABLE gmode_err RESULT_VARIABLE gmode_rc
-)
-if(NOT gmode_rc EQUAL 0)
-  message(FATAL_ERROR "g_mode-flipped row exited ${gmode_rc} (want 0 — mode change is not a regression):\n${gmode_out}${gmode_err}")
-endif()
-if(NOT gmode_out MATCHES "SKIP.*engine changed")
-  message(FATAL_ERROR "g_mode-flipped row was not SKIPped:\n${gmode_out}")
-endif()
-if(gmode_out MATCHES "FAIL")
-  message(FATAL_ERROR "g_mode-flipped row FAILed instead of SKIPping:\n${gmode_out}")
-endif()
-
-# 7b. Both documents tagged: the matcher pairs rows per engine, so the
-#     regressed folded row FAILs while the identical sweep row stays OK
-#     (first-found matching would have compared folded against sweep).
-file(WRITE ${work_dir}/g_base_both.json
-"{\"bench\":\"scale\",\"smoke\":true,\"jobs\":1,\"timing\":\"serial\",\"seed\":1,\"fleets\":[\
-{\"num_users\":100,\"horizon_slots\":600,\"wall_seconds\":1.0,\"process_peak_rss_mib\":10.0,\"schedulers\":[\
-{\"scheduler\":\"Online\",\"seconds\":0.5,\"slots_per_sec\":1000.0,\"user_slots_per_sec\":100000.0,\"updates\":5,\"energy_kj\":1.0,\"g_mode\":\"sweep\"},\
-{\"scheduler\":\"Online\",\"seconds\":0.4,\"slots_per_sec\":1250.0,\"user_slots_per_sec\":125000.0,\"updates\":5,\"energy_kj\":1.0,\"g_mode\":\"folded\"}\
-]}]}\n")
-file(WRITE ${work_dir}/g_folded_regressed.json
-"{\"bench\":\"scale\",\"smoke\":true,\"jobs\":1,\"timing\":\"serial\",\"seed\":1,\"fleets\":[\
-{\"num_users\":100,\"horizon_slots\":600,\"wall_seconds\":1.0,\"process_peak_rss_mib\":10.0,\"schedulers\":[\
-{\"scheduler\":\"Online\",\"seconds\":0.5,\"slots_per_sec\":1000.0,\"user_slots_per_sec\":100000.0,\"updates\":5,\"energy_kj\":1.0,\"g_mode\":\"sweep\"},\
-{\"scheduler\":\"Online\",\"seconds\":4.0,\"slots_per_sec\":125.0,\"user_slots_per_sec\":12500.0,\"updates\":5,\"energy_kj\":1.0,\"g_mode\":\"folded\"}\
-]}]}\n")
-execute_process(
-  COMMAND ${BENCH_CHECK} --baseline ${work_dir}/g_base_both.json
-          --candidate ${work_dir}/g_folded_regressed.json
-  OUTPUT_VARIABLE pair_out ERROR_VARIABLE pair_err RESULT_VARIABLE pair_rc
-)
-if(NOT pair_rc EQUAL 1)
-  message(FATAL_ERROR "regressed folded row exited ${pair_rc} (want 1):\n${pair_out}${pair_err}")
-endif()
-if(NOT pair_out MATCHES "FAIL.*folded")
-  message(FATAL_ERROR "regressed folded row printed no FAIL:\n${pair_out}")
-endif()
-if(NOT pair_out MATCHES "OK.*sweep")
-  message(FATAL_ERROR "identical sweep row was not compared OK:\n${pair_out}")
 endif()
 
 # 8a. Both documents carry events-off and events-on rows: the matcher

@@ -287,6 +287,14 @@ TEST(ConfigIo, RejectsDecisionIntervalBelowOne) {
             1);
 }
 
+TEST(ConfigIo, RejectsNonPositiveSlotSeconds) {
+  for (const char* value : {"0", "-1", "-1e-300"}) {
+    expect_rejected(std::string{R"({"slot_seconds":)"} + value + "}",
+                    "slot_seconds");
+  }
+  EXPECT_EQ(config_from_json(R"({"slot_seconds":0.5})").slot_seconds, 0.5);
+}
+
 TEST(ConfigIo, OutOfRangeIntegersThrow) {
   // Integers travel as doubles; past 2^53 they silently change value, so
   // the loader rejects them instead of corrupting the config.

@@ -6,8 +6,8 @@
 //      slot-start lag and at every larger lag the amplification memo was
 //      checked for, and the floor itself schedules.
 //   2. Exactness — screened batched runs are fingerprint-identical to the
-//      scalar reference on fleets where H(t) > 0 (small Lb): per-slot sweep
-//      and folded G(t), decision_interval_slots = 3 (screened users park),
+//      scalar reference on fleets where H(t) > 0 (small Lb): a busy fleet,
+//      decision_interval_slots = 3 (screened users park),
 //      a churning diurnal LTE fleet, and with an event stream attached —
 //      whose records match the scalar run's one for one.
 //   3. The screen fires on those fleets (summary.timing.decide_screened),
@@ -141,20 +141,11 @@ struct ScreenCase {
 
 std::vector<ScreenCase> screen_cases() {
   std::vector<ScreenCase> cases;
-  cases.push_back({"sweep", busy_fleet()});
-  ExperimentConfig folded = busy_fleet();
-  folded.folded_gap_accrual = true;
-  cases.push_back({"folded", folded});
+  cases.push_back({"busy", busy_fleet()});
   ExperimentConfig parking = busy_fleet();
   parking.decision_interval_slots = 3;
   cases.push_back({"interval-3", parking});
-  ExperimentConfig parking_folded = parking;
-  parking_folded.folded_gap_accrual = true;
-  cases.push_back({"interval-3-folded", parking_folded});
   cases.push_back({"churn-diurnal-lte", churn_fleet()});
-  ExperimentConfig churn_folded = churn_fleet();
-  churn_folded.folded_gap_accrual = true;
-  cases.push_back({"churn-diurnal-lte-folded", churn_folded});
   return cases;
 }
 

@@ -84,6 +84,71 @@ TEST(Knapsack, ExactRejectsLargeInstances) {
   EXPECT_THROW(solve_knapsack_exact(items, 10.0), std::invalid_argument);
 }
 
+// The textbook rolled Eq. (8) DP: a branch per cell and one bool per
+// (item, budget). Same unit rounding, same descending cells, same
+// backtrack — the form the solvers' row kernel must reproduce exactly.
+KnapsackSolution textbook_dp(const std::vector<KnapsackItem>& items,
+                             double capacity, std::size_t grid) {
+  KnapsackSolution s;
+  s.selected.assign(items.size(), false);
+  const double unit = capacity / static_cast<double>(grid);
+  std::vector<std::size_t> units(items.size());
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    units[i] =
+        static_cast<std::size_t>(std::ceil(items[i].weight / unit - 1e-12));
+  }
+  std::vector<double> best(grid + 1, 0.0);
+  std::vector<std::vector<bool>> take(items.size(),
+                                      std::vector<bool>(grid + 1, false));
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    if (units[i] > grid || items[i].value <= 0.0) continue;
+    for (std::size_t y = grid + 1; y-- > units[i];) {
+      const double v = best[y - units[i]] + items[i].value;
+      if (v > best[y]) {
+        best[y] = v;
+        take[i][y] = true;
+      }
+    }
+  }
+  std::size_t y = grid;
+  for (std::size_t i = items.size(); i-- > 0;) {
+    if (take[i][y]) {
+      s.selected[i] = true;
+      s.total_value += items[i].value;
+      s.total_weight += items[i].weight;
+      y -= units[i];
+    }
+  }
+  return s;
+}
+
+TEST_P(KnapsackRandom, RowKernelMatchesTheTextbookDp) {
+  // Repeated values make equal-value optima (the take bit decides which
+  // one is returned); zero-weight, zero-value and overweight items take
+  // the kernel's edge paths; the grids straddle the 64-cell row words.
+  util::Rng rng{GetParam()};
+  const std::size_t n = 1 + rng.uniform_int(std::uint64_t{80});
+  std::vector<KnapsackItem> items(n);
+  for (auto& item : items) {
+    const double kind = rng.uniform(0.0, 1.0);
+    item.value = kind < 0.1   ? 0.0
+                 : kind < 0.6 ? 5.0 * static_cast<double>(
+                                          1 + rng.uniform_int(std::uint64_t{4}))
+                              : rng.uniform(0.0, 40.0);
+    item.weight = rng.uniform(0.0, 1.0) < 0.1 ? 0.0 : rng.uniform(0.0, 30.0);
+  }
+  for (const std::size_t grid : {1, 2, 3, 63, 64, 65, 127, 128, 129, 2000}) {
+    const KnapsackSolution ref = textbook_dp(items, 20.0, grid);
+    const KnapsackSolution full = solve_knapsack(items, 20.0, grid);
+    EXPECT_EQ(full.selected, ref.selected) << "grid " << grid;
+    EXPECT_EQ(full.total_value, ref.total_value) << "grid " << grid;
+    EXPECT_EQ(full.total_weight, ref.total_weight) << "grid " << grid;
+    KnapsackSolver solver;
+    EXPECT_EQ(solver.solve(items, 20.0, grid).selected, ref.selected)
+        << "grid " << grid;
+  }
+}
+
 // ------------------------------------------------- incremental solver
 
 std::vector<KnapsackItem> random_items(util::Rng& rng, std::size_t n) {

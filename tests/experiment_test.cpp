@@ -300,6 +300,16 @@ TEST(Experiment, RejectsDecisionIntervalBelowOne) {
   }
 }
 
+TEST(Experiment, RejectsNonPositiveOrNonFiniteSlotSeconds) {
+  for (const double seconds :
+       {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity()}) {
+    auto cfg = fast_config(SchedulerKind::kOnline);
+    cfg.slot_seconds = seconds;
+    expect_rejected(cfg, "slot_seconds must be finite and > 0");
+  }
+}
+
 TEST(Experiment, DomainEdgesOfLyapunovKnobsRun) {
   auto cfg = fast_config(SchedulerKind::kOnline);
   cfg.horizon_slots = 300;

@@ -8,11 +8,9 @@
 #   5. --ignore suppresses a whole subtree (exit 0).
 #   6. Malformed JSON exits 2 (usage/IO contract for CI).
 #   7. End-to-end: two real fedco_sim result documents for the same online
-#      run under the sweep and folded G(t) engines compare clean at
-#      --abs-tol 1e-6 — the PR 7 divergence contract (G/H drift is
-#      floating-point associativity only; decisions, updates and energy are
-#      integer/exactly equal, so any behavioural change would trip the
-#      1e-6 gate).
+#      run under the batched decide and the scalar reference
+#      (--scalar-decide) compare clean at --abs-tol 0 — the two paths are
+#      bit-identical, so any metric, trace sample or count delta trips.
 # Invoked as: cmake -DMETRICS_DIFF=<binary> -DFEDCO_SIM=<binary>
 #             -P metrics_diff_test.cmake
 
@@ -125,36 +123,33 @@ if(NOT bad_rc EQUAL 2)
   message(FATAL_ERROR "malformed JSON exited ${bad_rc} (want 2):\n${bad_out}${bad_err}")
 endif()
 
-# --- 7. the real divergence contract ---------------------------------------
-# The same online run under both G(t) engines. The folded engine's drift is
-# bounded well under 1e-6 (docs/performance.md section 8); decisions,
-# updates and energy are exactly equal, so a 1e-6 absolute gate would trip
-# on any integer count change (delta >= 1) — this doubles as a behavioural
-# equality check.
+# --- 7. a real run pair -----------------------------------------------------
+# The same online run through the batched decide and the scalar reference.
+# The two are bit-identical by contract, so the gate runs at --abs-tol 0.
 set(run_flags --scheduler online --users 50 --horizon 400 --arrival-p 0.02
     --seed 42)
 execute_process(
-  COMMAND ${FEDCO_SIM} ${run_flags} --json ${work_dir}/sweep.json
-  RESULT_VARIABLE sweep_rc OUTPUT_QUIET ERROR_VARIABLE sweep_err
+  COMMAND ${FEDCO_SIM} ${run_flags} --json ${work_dir}/batched.json
+  RESULT_VARIABLE batched_rc OUTPUT_QUIET ERROR_VARIABLE batched_err
 )
 execute_process(
-  COMMAND ${FEDCO_SIM} ${run_flags} --folded-g --json ${work_dir}/folded.json
-  RESULT_VARIABLE fold_rc OUTPUT_QUIET ERROR_VARIABLE fold_err
+  COMMAND ${FEDCO_SIM} ${run_flags} --scalar-decide --json ${work_dir}/scalar.json
+  RESULT_VARIABLE scalar_rc OUTPUT_QUIET ERROR_VARIABLE scalar_err
 )
-if(NOT sweep_rc EQUAL 0 OR NOT fold_rc EQUAL 0)
-  message(FATAL_ERROR "engine-pair runs exited ${sweep_rc}/${fold_rc}:\n${sweep_err}${fold_err}")
+if(NOT batched_rc EQUAL 0 OR NOT scalar_rc EQUAL 0)
+  message(FATAL_ERROR "decide-pair runs exited ${batched_rc}/${scalar_rc}:\n${batched_err}${scalar_err}")
 endif()
 execute_process(
-  COMMAND ${METRICS_DIFF} --baseline ${work_dir}/sweep.json
-          --candidate ${work_dir}/folded.json --abs-tol 1e-6
+  COMMAND ${METRICS_DIFF} --baseline ${work_dir}/scalar.json
+          --candidate ${work_dir}/batched.json --abs-tol 0
   OUTPUT_VARIABLE pair_out ERROR_VARIABLE pair_err RESULT_VARIABLE pair_rc
 )
 if(NOT pair_rc EQUAL 0)
   message(FATAL_ERROR
-    "sweep vs folded exceeded the 1e-6 divergence contract (${pair_rc}):\n${pair_out}${pair_err}")
+    "batched vs scalar decide differ (${pair_rc}):\n${pair_out}${pair_err}")
 endif()
 if(NOT pair_out MATCHES "0 out of tolerance")
-  message(FATAL_ERROR "sweep vs folded reported diffs:\n${pair_out}")
+  message(FATAL_ERROR "batched vs scalar decide reported diffs:\n${pair_out}")
 endif()
 
 message(STATUS "metrics_diff behaviour test passed")

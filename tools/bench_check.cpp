@@ -12,13 +12,9 @@
 // logic applies to the fleet-level "rng" tag ("legacy" vs "stream", the
 // PR 6 counter-based arrival streams): different RNG layouts sample
 // different arrival sequences, so a timing delta there is a mode change,
-// not a regression. Online rows additionally carry a "g_mode" tag ("sweep"
-// vs "folded", the PR 7 closed-form G(t) accumulators): matching prefers
-// the exact (users, horizon, scheduler, g_mode, events) row, and pairs
-// whose tags differ SKIP — the engines diverge by floating-point
-// associativity, so cross-engine timings measure different decision
-// streams. Rows measured with the JSONL event emitter attached (PR 8,
-// "events": true) likewise only compare against other events-on rows:
+// not a regression. Matching prefers the exact (users, horizon, scheduler,
+// events, churn_aware) row. Rows measured with the JSONL event emitter
+// attached (PR 8, "events": true) only compare against other events-on rows:
 // the emitter's serialization + I/O is deliberate work, not a scheduler
 // regression. The departure-aware tag (PR 10, "churn_aware": true) works
 // the same way: a churn-aware row runs a different decision rule (and on
@@ -70,11 +66,6 @@ struct Row {
   /// Fleet-level RNG layout tag (since PR 6): "legacy" or "stream",
   /// "" in pre-tag documents. Mismatched layouts SKIP.
   std::string rng;
-  /// Online rows' G(t) engine tag (since PR 7): "sweep" or "folded",
-  /// "" on non-online rows and pre-tag documents. The engines differ by
-  /// floating-point associativity, so decision streams (and hence work)
-  /// can legally diverge — mismatched engines SKIP.
-  std::string g_mode;
   /// True on rows measured with the JSONL event emitter attached (PR 8
   /// observability). Events-on rows pay serialization + I/O per slot, so
   /// they only compare against other events-on rows; absent = false keeps
@@ -106,7 +97,6 @@ struct Doc {
 std::string row_name(const Row& row) {
   return std::to_string(row.users) + " users x " +
          std::to_string(row.horizon) + " slots / " + row.scheduler +
-         (row.g_mode.empty() ? "" : " (" + row.g_mode + ")") +
          (row.churn_aware ? " +churn" : "") + (row.events ? " +events" : "");
 }
 
@@ -172,9 +162,6 @@ Doc rows_of(const JsonValue& doc, const std::string& path) {
       if (const JsonValue* grid = sched.find("knapsack_grid")) {
         row.grid = static_cast<std::int64_t>(grid->as_number());
       }
-      if (const JsonValue* g_mode = sched.find("g_mode")) {
-        row.g_mode = g_mode->as_string();
-      }
       if (const JsonValue* events = sched.find("events")) {
         row.events = events->as_bool();
       }
@@ -188,14 +175,13 @@ Doc rows_of(const JsonValue& doc, const std::string& path) {
 }
 
 const Row* match(const std::vector<Row>& rows, const Row& key) {
-  // Exact match first — since PR 7 a fleet can carry one online row per
-  // G(t) engine, so (users, horizon, scheduler, g_mode) identifies the
-  // row. The tag-blind fallback pairs pre-tag documents with tagged ones;
-  // the caller's g_mode check then reports those pairs as SKIP.
+  // Exact match first — a fleet can carry one row per scheduler and
+  // events/churn-aware tag pair. The tag-blind fallback pairs pre-tag
+  // documents with tagged ones; the caller's tag checks then report those
+  // pairs as SKIP.
   for (const Row& row : rows) {
     if (row.users == key.users && row.horizon == key.horizon &&
-        row.scheduler == key.scheduler && row.g_mode == key.g_mode &&
-        row.events == key.events && row.churn_aware == key.churn_aware) {
+        row.scheduler == key.scheduler && row.events == key.events && row.churn_aware == key.churn_aware) {
       return &row;
     }
   }
@@ -274,19 +260,6 @@ int main(int argc, char** argv) {
             static_cast<long long>(base.grid),
             cand->planner.empty() ? "-" : cand->planner.c_str(),
             static_cast<long long>(cand->grid));
-        continue;
-      }
-      if (cand->g_mode != base.g_mode) {
-        // Sweep vs folded G(t) engines differ by floating-point
-        // associativity, so their decision streams (and hence per-slot
-        // work) can legally diverge: a timing delta is a mode change,
-        // not a regression.
-        std::printf(
-            "SKIP  %s: G(t) engine changed (baseline %s -> candidate %s) — "
-            "mode change, not a regression\n",
-            row_name(base).c_str(),
-            base.g_mode.empty() ? "-" : base.g_mode.c_str(),
-            cand->g_mode.empty() ? "-" : cand->g_mode.c_str());
         continue;
       }
       if (cand->events != base.events) {

@@ -13,6 +13,12 @@
 #include <vector>
 
 #include "core/experiment.hpp"
+#include "data/partition.hpp"
+#include "data/synth_cifar.hpp"
+#include "fl/client.hpp"
+#include "fl/server.hpp"
+#include "nn/zoo.hpp"
+#include "util/rng.hpp"
 
 namespace fedco::testing {
 
@@ -137,6 +143,74 @@ struct ParityScenario {
   scenarios.push_back({"real-training", real});
 
   return scenarios;
+}
+
+/// A reduced copy of the paper's own experiment (Sec. VI: lenet-small on
+/// synthetic CIFAR, batches of 20, the online rule): 5 users on 16×16
+/// images over a short horizon. The other real-training goldens use the
+/// MLP, so this is the one that pins the convolution kernels end to end.
+/// In real training the online rule reads the server's momentum norm, so
+/// a single rounding change in src/nn moves the schedule as well.
+[[nodiscard]] inline core::ExperimentConfig lenet_training_config() {
+  core::ExperimentConfig cfg;
+  cfg.scheduler = core::SchedulerKind::kOnline;
+  cfg.num_users = 5;
+  cfg.horizon_slots = 1500;
+  cfg.arrival_probability = 0.004;
+  cfg.seed = 2022;
+  // A small V and Lb make the rule schedule within the short horizon.
+  cfg.V = 100.0;
+  cfg.lb = 20.0;
+  cfg.real_training = true;
+  cfg.model = core::ModelKind::kLenetSmall;
+  cfg.dataset.classes = 10;
+  cfg.dataset.height = 16;
+  cfg.dataset.width = 16;
+  cfg.dataset.train_per_class = 20;
+  cfg.dataset.test_per_class = 6;
+  cfg.eval_interval_s = 300.0;
+  return cfg;
+}
+
+/// FNV-1a hash of the global lenet-small parameters after a short
+/// asynchronous run driven through fl::FlClient and fl::ParameterServer
+/// directly: each round every client downloads the same snapshot, trains
+/// one local epoch and submits in turn, so all but the first update are
+/// stale. The server's momentum-norm estimate is hashed along with the
+/// parameters, since the online rule reads it.
+[[nodiscard]] inline std::uint64_t lenet_async_param_hash() {
+  data::SynthCifarConfig dcfg;
+  dcfg.classes = 10;
+  dcfg.height = 16;
+  dcfg.width = 16;
+  dcfg.train_per_class = 12;
+  dcfg.test_per_class = 1;
+  const data::SynthCifar dataset = data::make_synth_cifar(dcfg);
+  util::Rng rng{77};
+  const nn::Network prototype = nn::make_lenet_small(dcfg.classes, rng);
+  constexpr std::size_t kClients = 3;
+  const data::Partition partition =
+      data::partition_iid(dataset.train.size(), kClients, rng);
+  fl::ParameterServer server{prototype.flatten_params(), 0.05, 0.9};
+  std::vector<fl::FlClient> clients;
+  for (std::size_t c = 0; c < kClients; ++c) {
+    clients.emplace_back(static_cast<std::uint32_t>(c),
+                         dataset.train.subset(partition[c]), prototype,
+                         nn::SgdConfig{0.05, 0.9, 0.0, 0.0}, 100 + c);
+  }
+  for (int round = 0; round < 2; ++round) {
+    const fl::GlobalModel snapshot = server.download();
+    for (fl::FlClient& client : clients) client.load_global(snapshot.params);
+    for (fl::FlClient& client : clients) {
+      (void)client.train_local_epoch(20);
+      (void)server.submit_async(client.upload(), snapshot.version);
+    }
+  }
+  Fingerprint fp;
+  const std::vector<float> params = server.download().params;
+  fp.add_bytes(params.data(), params.size() * sizeof(float));
+  fp.add(server.momentum_norm());
+  return fp.value();
 }
 
 }  // namespace fedco::testing

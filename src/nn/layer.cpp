@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <vector>
 
 namespace fedco::nn {
 
@@ -17,6 +18,20 @@ void init_uniform(Tensor& t, float bound, util::Rng& rng) {
   for (std::size_t i = 0; i < t.size(); ++i) {
     t[i] = static_cast<float>(rng.uniform(-bound, bound));
   }
+}
+
+/// The two per-sample im2col-sized buffers of Conv2D (the lowered columns
+/// and their gradient). A layer needs them only inside one forward or
+/// backward call, so one pair per thread serves every network the thread
+/// drives; a fleet holds one network per client, which would otherwise
+/// multiply the buffers by the client count.
+enum ConvScratch : std::size_t { kColumns = 0, kGradColumns = 1 };
+
+float* conv_scratch(ConvScratch which, std::size_t size) {
+  thread_local std::vector<float> buffers[2];
+  std::vector<float>& buffer = buffers[which];
+  if (buffer.size() < size) buffer.resize(size);
+  return buffer.data();
 }
 }  // namespace
 
@@ -44,7 +59,7 @@ Tensor Dense::forward(const Tensor& input) {
   cached_input_ = input;
   const std::size_t n = input.dim(0);
   Tensor out{{n, out_}};
-  gemm(input, weight_, out);
+  gemm(input.data(), weight_.data(), out.data(), n, in_, out_);
   for (std::size_t i = 0; i < n; ++i) {
     float* row = out.data() + i * out_;
     for (std::size_t j = 0; j < out_; ++j) row[j] += bias_[j];
@@ -53,21 +68,30 @@ Tensor Dense::forward(const Tensor& input) {
 }
 
 Tensor Dense::backward(const Tensor& grad_output) {
+  return accumulate(grad_output, true);
+}
+
+void Dense::backward_params(const Tensor& grad_output) {
+  (void)accumulate(grad_output, false);
+}
+
+Tensor Dense::accumulate(const Tensor& grad_output, bool input_grad) {
   const std::size_t n = cached_input_.dim(0);
   if (grad_output.rank() != 2 || grad_output.dim(0) != n ||
       grad_output.dim(1) != out_) {
     throw std::invalid_argument{"Dense::backward: bad grad shape"};
   }
-  // dW += x^T g ; db += sum over batch ; dx = g W^T.
-  Tensor dw{{in_, out_}};
-  gemm_at_b(cached_input_, grad_output, dw);
-  grad_weight_.add_(dw);
+  // dW += x^T g ; db += sum over batch ; dx = g W^T. Write::kAdd rounds
+  // each x^T g entry to float before adding it, as a separate dW would.
+  gemm_at_b(cached_input_.data(), grad_output.data(), grad_weight_.data(), in_,
+            n, out_, Write::kAdd);
   for (std::size_t i = 0; i < n; ++i) {
     const float* row = grad_output.data() + i * out_;
     for (std::size_t j = 0; j < out_; ++j) grad_bias_[j] += row[j];
   }
+  if (!input_grad) return {};
   Tensor dx{{n, in_}};
-  gemm_a_bt(grad_output, weight_, dx);
+  gemm_a_bt(grad_output.data(), weight_.data(), dx.data(), n, out_, in_);
   return dx;
 }
 
@@ -112,24 +136,33 @@ Tensor Conv2D::forward(const Tensor& input) {
   if (g.in_h + 2 * g.pad < g.kernel || g.in_w + 2 * g.pad < g.kernel) {
     throw std::invalid_argument{"Conv2D::forward: kernel larger than input"};
   }
-  const std::size_t oh = g.out_h();
-  const std::size_t ow = g.out_w();
-  Tensor out{{n, out_channels_, oh, ow}};
-  Tensor result;  // (out_channels, positions) scratch
+  const std::size_t positions = g.positions();
+  const std::size_t patch = g.patch_size();
+  const std::size_t image = in_channels_ * g.in_h * g.in_w;
+  Tensor out{{n, out_channels_, g.out_h(), g.out_w()}};
+  float* columns = conv_scratch(kColumns, patch * positions);
   for (std::size_t b = 0; b < n; ++b) {
-    im2col(input, b, g, columns_);
-    gemm(weight_, columns_, result);
+    im2col(input.data() + b * image, g, columns);
+    float* dst = out.data() + b * out_channels_ * positions;
+    gemm(weight_.data(), columns, dst, out_channels_, patch, positions);
     for (std::size_t oc = 0; oc < out_channels_; ++oc) {
-      const float* src = result.data() + oc * g.positions();
       const float bias = bias_[oc];
-      float* dst = &out.at4(b, oc, 0, 0);
-      for (std::size_t p = 0; p < g.positions(); ++p) dst[p] = src[p] + bias;
+      float* row = dst + oc * positions;
+      for (std::size_t p = 0; p < positions; ++p) row[p] += bias;
     }
   }
   return out;
 }
 
 Tensor Conv2D::backward(const Tensor& grad_output) {
+  return accumulate(grad_output, true);
+}
+
+void Conv2D::backward_params(const Tensor& grad_output) {
+  (void)accumulate(grad_output, false);
+}
+
+Tensor Conv2D::accumulate(const Tensor& grad_output, bool input_grad) {
   const std::size_t n = cached_input_.dim(0);
   const ConvGeometry g{in_channels_, cached_input_.dim(2), cached_input_.dim(3),
                        kernel_,      stride_,              pad_};
@@ -139,28 +172,32 @@ Tensor Conv2D::backward(const Tensor& grad_output) {
       grad_output.dim(2) * grad_output.dim(3) != positions) {
     throw std::invalid_argument{"Conv2D::backward: bad grad shape"};
   }
-  Tensor grad_input{cached_input_.shape()};
-  Tensor grad_cols{{g.patch_size(), positions}};
-  Tensor grad_out_mat{{out_channels_, positions}};
-  Tensor dw{{out_channels_, g.patch_size()}};
+  const std::size_t patch = g.patch_size();
+  const std::size_t image = in_channels_ * g.in_h * g.in_w;
+  Tensor grad_input{input_grad ? cached_input_.shape() : Shape{}};
+  float* columns = conv_scratch(kColumns, patch * positions);
+  float* grad_cols =
+      input_grad ? conv_scratch(kGradColumns, patch * positions) : nullptr;
   for (std::size_t b = 0; b < n; ++b) {
-    // View this batch element's output gradient as a matrix.
+    // This batch element's output gradient, an (out_channels, positions)
+    // matrix in place.
     const float* go = grad_output.data() + b * out_channels_ * positions;
-    std::copy(go, go + out_channels_ * positions, grad_out_mat.data());
     // dW += gO · cols^T  (recompute cols; cheaper than caching N copies).
-    im2col(cached_input_, b, g, columns_);
-    gemm_a_bt(grad_out_mat, columns_, dw);
-    grad_weight_.add_(dw);
+    // Write::kAdd rounds each per-sample entry to float before adding it.
+    im2col(cached_input_.data() + b * image, g, columns);
+    gemm_a_bt(go, columns, grad_weight_.data(), out_channels_, positions,
+              patch, Write::kAdd);
     // db += row sums of gO.
     for (std::size_t oc = 0; oc < out_channels_; ++oc) {
-      const float* row = grad_out_mat.data() + oc * positions;
+      const float* row = go + oc * positions;
       double acc = 0.0;
       for (std::size_t p = 0; p < positions; ++p) acc += static_cast<double>(row[p]);
       grad_bias_[oc] += static_cast<float>(acc);
     }
+    if (!input_grad) continue;
     // dCols = W^T · gO, then scatter back to the input gradient.
-    gemm_at_b(weight_, grad_out_mat, grad_cols);
-    col2im(grad_cols, b, g, grad_input);
+    gemm_at_b(weight_.data(), go, grad_cols, patch, out_channels_, positions);
+    col2im(grad_cols, g, grad_input.data() + b * image);
   }
   return grad_input;
 }

@@ -24,6 +24,13 @@ class Layer {
   /// returns dL/d(input). Must be called after forward on the same input.
   virtual Tensor backward(const Tensor& grad_output) = 0;
 
+  /// Backward pass for a layer whose input gradient nobody reads (the
+  /// first layer of a Network): accumulates exactly the parameter
+  /// gradients backward() would and may skip dL/d(input).
+  virtual void backward_params(const Tensor& grad_output) {
+    (void)backward(grad_output);
+  }
+
   /// Learnable parameter tensors (empty for stateless layers).
   virtual std::vector<Tensor*> params() { return {}; }
   /// Gradients, parallel to params().
@@ -44,6 +51,7 @@ class Dense final : public Layer {
 
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
+  void backward_params(const Tensor& grad_output) override;
   std::vector<Tensor*> params() override { return {&weight_, &bias_}; }
   std::vector<Tensor*> grads() override { return {&grad_weight_, &grad_bias_}; }
   [[nodiscard]] std::string name() const override;
@@ -53,6 +61,9 @@ class Dense final : public Layer {
   [[nodiscard]] std::size_t out_features() const noexcept { return out_; }
 
  private:
+  /// Adds dW and db; returns dx when `input_grad`, else an empty tensor.
+  Tensor accumulate(const Tensor& grad_output, bool input_grad);
+
   std::size_t in_;
   std::size_t out_;
   Tensor weight_;
@@ -70,12 +81,16 @@ class Conv2D final : public Layer {
 
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
+  void backward_params(const Tensor& grad_output) override;
   std::vector<Tensor*> params() override { return {&weight_, &bias_}; }
   std::vector<Tensor*> grads() override { return {&grad_weight_, &grad_bias_}; }
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] std::unique_ptr<Layer> clone() const override;
 
  private:
+  /// Adds dW and db; returns dx when `input_grad`, else an empty tensor.
+  Tensor accumulate(const Tensor& grad_output, bool input_grad);
+
   std::size_t in_channels_;
   std::size_t out_channels_;
   std::size_t kernel_;
@@ -86,7 +101,6 @@ class Conv2D final : public Layer {
   Tensor grad_weight_;
   Tensor grad_bias_;
   Tensor cached_input_;
-  Tensor columns_;     // scratch, reused across calls
 };
 
 /// Max pooling with square window == stride (non-overlapping).

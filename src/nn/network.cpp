@@ -71,10 +71,14 @@ Tensor Network::forward(const Tensor& input) {
 }
 
 void Network::backward(const Tensor& grad_output) {
+  if (layers_.empty()) return;
   Tensor grad = grad_output;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    grad = (*it)->backward(grad);
+  for (std::size_t i = layers_.size() - 1; i > 0; --i) {
+    grad = layers_[i]->backward(grad);
   }
+  // Nothing reads the gradient with respect to the network's input, so the
+  // first layer (lenet's widest convolution) skips computing it.
+  layers_.front()->backward_params(grad);
 }
 
 void Network::zero_grad() {

@@ -1,6 +1,9 @@
 // Numeric kernels: GEMM, im2col/col2im convolution lowering, pooling and
 // softmax. These replace the OpenBLAS backend the paper cross-compiled for
-// ARM; the cache-friendly ikj GEMM is plenty for LeNet-scale models.
+// ARM. The GEMMs are register-blocked across independent outputs only:
+// every output element accumulates the same terms, in the same order and
+// precision, as the textbook loop it replaced (see README.md,
+// "Determinism contract"), so blocking never changes a result bit.
 #pragma once
 
 #include <cstddef>
@@ -9,14 +12,32 @@
 
 namespace fedco::nn {
 
-/// C (m×n) = A (m×k) · B (k×n). C is overwritten.
+/// C (m×n) = A (m×k) · B (k×n). C is overwritten. Float accumulation in
+/// p order per output; terms with A[i][p] == 0 are skipped.
 void gemm(const Tensor& a, const Tensor& b, Tensor& c);
 
-/// C (m×n) += A^T (m×k as k×m stored) · B (k×n): C = A'B with A given (k×m).
+/// C (m×n) = Aᵀ · B with A stored (k×m) and B (k×n). C is overwritten.
+/// Float accumulation in p order per output; zero A entries are skipped.
 void gemm_at_b(const Tensor& a, const Tensor& b, Tensor& c);
 
-/// C (m×n) = A (m×k) · B^T (n×k stored). C is overwritten.
+/// C (m×n) = A (m×k) · Bᵀ with B stored (n×k). C is overwritten. Each
+/// output is one double-precision sum in p order, rounded to float once.
 void gemm_a_bt(const Tensor& a, const Tensor& b, Tensor& c);
+
+/// Whether a raw GEMM overwrites C or adds its float result into C.
+enum class Write { kAssign, kAdd };
+
+/// Raw row-major forms of the three GEMMs above, with the same per-output
+/// arithmetic. Shapes are given as (m, k, n) in the Tensor overloads'
+/// sense. With Write::kAdd each output is computed exactly as kAssign
+/// would compute it and then added to C with one float add. C must not
+/// overlap A or B.
+void gemm(const float* a, const float* b, float* c, std::size_t m,
+          std::size_t k, std::size_t n);
+void gemm_at_b(const float* a, const float* b, float* c, std::size_t m,
+               std::size_t k, std::size_t n, Write write = Write::kAssign);
+void gemm_a_bt(const float* a, const float* b, float* c, std::size_t m,
+               std::size_t k, std::size_t n, Write write = Write::kAssign);
 
 /// Geometry of a 2-D convolution / pooling window.
 struct ConvGeometry {
@@ -50,8 +71,14 @@ void im2col(const Tensor& input, std::size_t batch_index, const ConvGeometry& g,
 
 /// Scatter-add the column matrix back into the image gradient (inverse of
 /// im2col); the batch slice of `grad_input` is accumulated into, not cleared.
+/// Each pixel receives its terms in (kh, kw) order.
 void col2im(const Tensor& columns, std::size_t batch_index,
             const ConvGeometry& g, Tensor& grad_input);
+
+/// Raw forms on one (C, H, W) image: `columns` holds patch_size() ×
+/// positions() floats and must not overlap `image`.
+void im2col(const float* image, const ConvGeometry& g, float* columns);
+void col2im(const float* columns, const ConvGeometry& g, float* image);
 
 /// Row-wise softmax of a (N, K) logits matrix into `out` (same shape).
 void softmax_rows(const Tensor& logits, Tensor& out);

@@ -3,7 +3,10 @@
 // Two parts:
 //   1. google-benchmark micro-measurement of one Eq. (21) decision
 //      evaluation (the per-slot work each device performs) and of a full
-//      25-user window plan of the offline knapsack for contrast;
+//      25-user window plan of the offline knapsack for contrast, plus the
+//      on-device training kernels of the paper's Sec. VI model (a
+//      lenet-small batch of 20, an evaluation batch of 100, and the
+//      first convolution's backward pass);
 //   2. the Table III overhead table — per-device idle vs decision-compute
 //      power and the resulting percentage, plus the end-to-end overhead
 //      energy share measured in a full simulation with the per-decision
@@ -15,11 +18,15 @@
 #include <cmath>
 #include <cstdint>
 #include <iostream>
+#include <utility>
 #include <vector>
 
 #include "core/experiment.hpp"
 #include "core/offline_planner.hpp"
 #include "core/online_scheduler.hpp"
+#include "nn/layer.hpp"
+#include "nn/network.hpp"
+#include "nn/zoo.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
@@ -135,6 +142,64 @@ void BM_OfflineWindowPlan25Users(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_OfflineWindowPlan25Users);
+
+/// A (batch, 3, 16, 16) image batch of N(0, 1) pixels with cyclic labels:
+/// the lenet-small input shape the CLI's real-training default uses.
+std::pair<nn::Tensor, std::vector<std::size_t>> image_batch(std::size_t n,
+                                                            util::Rng& rng) {
+  nn::Tensor images{{n, 3, 16, 16}};
+  for (float& x : images.flat()) x = static_cast<float>(rng.normal());
+  std::vector<std::size_t> labels(n);
+  for (std::size_t i = 0; i < n; ++i) labels[i] = i % 10;
+  return {std::move(images), std::move(labels)};
+}
+
+/// One local SGD step's forward + loss + backward on the paper's batch of
+/// 20 (Sec. VI); a local epoch is a sequence of these.
+void BM_LenetSmallTrainBatch(benchmark::State& state) {
+  util::Rng rng{2022};
+  nn::Network net = nn::make_lenet_small(10, rng);
+  const auto [images, labels] = image_batch(20, rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(net.train_batch(images, labels));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * 20));
+}
+BENCHMARK(BM_LenetSmallTrainBatch)->Unit(benchmark::kMillisecond);
+
+/// One forward-only evaluation batch of 100, fl::evaluate_params' default.
+void BM_LenetSmallEvaluate(benchmark::State& state) {
+  util::Rng rng{2022};
+  nn::Network net = nn::make_lenet_small(10, rng);
+  const auto [images, labels] = image_batch(100, rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(net.evaluate_batch(images, labels));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * 100));
+}
+BENCHMARK(BM_LenetSmallEvaluate)->Unit(benchmark::kMillisecond);
+
+/// lenet-small's first convolution (3→6, 5×5, pad 2, 16×16) backward on a
+/// batch of 20. Arg 1 is Layer::backward with the input gradient; arg 0 is
+/// the parameter-only pass Network::backward runs for a first layer.
+void BM_Conv2DBackward(benchmark::State& state) {
+  util::Rng rng{2022};
+  nn::Conv2D conv{3, 6, 5, 1, 2, rng};
+  const auto batch = image_batch(20, rng);
+  const nn::Tensor out = conv.forward(batch.first);
+  nn::Tensor grad{out.shape()};
+  for (float& x : grad.flat()) x = static_cast<float>(rng.normal());
+  const bool input_grad = state.range(0) != 0;
+  for (auto _ : state) {
+    if (input_grad) {
+      benchmark::DoNotOptimize(conv.backward(grad));
+    } else {
+      conv.backward_params(grad);
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * 20));
+}
+BENCHMARK(BM_Conv2DBackward)->Arg(1)->Arg(0)->Unit(benchmark::kMicrosecond);
 
 void print_table3() {
   using util::TextTable;

@@ -560,10 +560,19 @@ ExperimentConfig config_from_json(const std::string& text) {
           config.weight_prediction = read_bool(value, key);
         } else if (key == "batch_size") {
           config.batch_size = static_cast<std::size_t>(read_uint(value, key));
+          if (config.batch_size < 1) {
+            throw std::invalid_argument{std::string{kLoader} + ": '" + key +
+                                        "' must be >= 1"};
+          }
         } else if (key == "dataset") {
           read_dataset(value, config.dataset);
         } else if (key == "eval_interval_s") {
           config.eval_interval_s = read_double(value, key);
+          if (!(std::isfinite(config.eval_interval_s) &&
+                config.eval_interval_s > 0.0)) {
+            throw std::invalid_argument{std::string{kLoader} + ": '" + key +
+                                        "' must be finite and > 0"};
+          }
         } else if (key == "model_bytes") {
           config.model_bytes = static_cast<std::size_t>(read_uint(value, key));
         } else if (key == "use_lte") {

@@ -13,6 +13,7 @@
 #include "apps/arrival.hpp"
 #include "apps/arrival_stream.hpp"
 #include "apps/trace_feed.hpp"
+#include "core/config_io.hpp"
 #include "core/gap_accrual.hpp"
 #include "core/scheduler.hpp"
 #include "data/partition.hpp"
@@ -288,6 +289,36 @@ void check_lyapunov_knobs(const ExperimentConfig& cfg) {
   }
 }
 
+/// Reject real-training knobs that would otherwise be simulated silently:
+/// the batch iterator clamps a batch of 0 to 1, and a non-positive
+/// evaluation interval evaluates the global model every slot.
+void check_training_knobs(const ExperimentConfig& cfg) {
+  if (cfg.batch_size < 1) {
+    throw std::invalid_argument{"run_experiment: batch_size must be >= 1"};
+  }
+  if (!(std::isfinite(cfg.eval_interval_s) && cfg.eval_interval_s > 0.0)) {
+    throw std::invalid_argument{
+        "run_experiment: eval_interval_s must be finite and > 0"};
+  }
+}
+
+/// One-sample dry forward of a fresh model on the configured image shape.
+/// A dataset the model cannot take (lenet-small's dense head expects
+/// 16×16 images, for one) would otherwise fail at the first local epoch.
+void check_model_takes_dataset(const nn::Network& prototype,
+                               const ExperimentConfig& cfg) {
+  const data::SynthCifarConfig& d = cfg.dataset;
+  nn::Network probe = prototype;  // forward caches state; keep it off the prototype
+  try {
+    (void)probe.forward(nn::Tensor{{1, d.channels, d.height, d.width}});
+  } catch (const std::invalid_argument& error) {
+    throw std::invalid_argument{
+        "run_experiment: dataset images (" + std::to_string(d.channels) + "x" +
+        std::to_string(d.height) + "x" + std::to_string(d.width) +
+        ") do not fit model " + model_token(cfg.model) + ": " + error.what()};
+  }
+}
+
 /// Scheme-agnostic event-driven slot driver. All scheduling-policy logic
 /// lives behind the core::Scheduler strategy (src/core/schedulers/); the
 /// driver advances devices, app sessions, energy meters, the gap dynamics,
@@ -339,6 +370,7 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
     }
     check_arrival_knobs(cfg.arrival_probability, cfg.diurnal_swing, "");
     check_lyapunov_knobs(cfg);
+    check_training_knobs(cfg);
     if (!cfg.per_user.empty() && cfg.per_user.size() != cfg.num_users) {
       throw std::invalid_argument{
           "run_experiment: per_user must be empty or hold num_users entries"};
@@ -642,9 +674,12 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
 
   void setup_training() {
     if (!cfg_.real_training) return;
-    dataset_ = data::make_synth_cifar(cfg_.dataset);
+    // The model first, so a mismatched dataset fails before it is built
+    // (the dataset draws from its own seed, not from master_rng_).
     util::Rng model_rng = master_rng_.fork();
     prototype_ = make_model(cfg_.model, cfg_.dataset, model_rng);
+    check_model_takes_dataset(*prototype_, cfg_);
+    dataset_ = data::make_synth_cifar(cfg_.dataset);
     server_.emplace(prototype_->flatten_params(), cfg_.eta, cfg_.beta,
                     cfg_.aggregation);
     model_bytes_ = nn::encoded_size(prototype_->param_count());

@@ -46,6 +46,10 @@ EvalResult evaluate_params(const nn::Network& prototype,
                            std::span<const float> params,
                            const data::Dataset& dataset,
                            std::size_t batch_size) {
+  if (batch_size == 0) {
+    // begin += batch_size would never advance.
+    throw std::invalid_argument{"evaluate_params: batch_size must be >= 1"};
+  }
   if (dataset.empty()) return {};
   nn::Network net = prototype;  // deep copy
   net.load_params(params);

@@ -295,6 +295,20 @@ TEST(ConfigIo, RejectsNonPositiveSlotSeconds) {
   EXPECT_EQ(config_from_json(R"({"slot_seconds":0.5})").slot_seconds, 0.5);
 }
 
+TEST(ConfigIo, RejectsZeroBatchSize) {
+  expect_rejected(R"({"batch_size":0})", "batch_size");
+  EXPECT_EQ(config_from_json(R"({"batch_size":1})").batch_size, 1u);
+}
+
+TEST(ConfigIo, RejectsNonPositiveEvalInterval) {
+  for (const char* value : {"0", "-1", "-1e-300"}) {
+    expect_rejected(std::string{R"({"eval_interval_s":)"} + value + "}",
+                    "eval_interval_s");
+  }
+  EXPECT_EQ(config_from_json(R"({"eval_interval_s":0.5})").eval_interval_s,
+            0.5);
+}
+
 TEST(ConfigIo, OutOfRangeIntegersThrow) {
   // Integers travel as doubles; past 2^53 they silently change value, so
   // the loader rejects them instead of corrupting the config.

@@ -324,6 +324,52 @@ TEST(Experiment, DomainEdgesOfLyapunovKnobsRun) {
   }
 }
 
+TEST(Experiment, RejectsZeroBatchSize) {
+  // The batch iterator would clamp it and train with batches of 1.
+  auto cfg = fast_config(SchedulerKind::kOnline);
+  cfg.batch_size = 0;
+  expect_rejected(cfg, "batch_size must be >= 1");
+}
+
+TEST(Experiment, RejectsNonPositiveOrNonFiniteEvalInterval) {
+  // A negative or zero interval would evaluate the global model every slot.
+  for (const double interval :
+       {0.0, -1.0, -200.0, std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity()}) {
+    auto cfg = fast_config(SchedulerKind::kOnline);
+    cfg.eval_interval_s = interval;
+    expect_rejected(cfg, "eval_interval_s must be finite and > 0");
+  }
+}
+
+TEST(Experiment, RejectsDatasetTheModelCannotTake) {
+  // The ExperimentConfig defaults pair lenet-small with 32x32 images, which
+  // its dense head cannot take; the run must stop at setup, by name, not
+  // at the first local epoch.
+  auto cfg = fast_config(SchedulerKind::kOnline);
+  cfg.real_training = true;
+  cfg.model = ModelKind::kLenetSmall;
+  expect_rejected(cfg, "dataset images (3x32x32) do not fit model lenet-small");
+  cfg.dataset.height = 16;
+  cfg.dataset.width = 16;
+  cfg.dataset.channels = 1;  // conv1 wants RGB
+  expect_rejected(cfg, "dataset images (1x16x16) do not fit model lenet-small");
+}
+
+TEST(Experiment, MatchingDatasetAndModelRun) {
+  auto cfg = fast_config(SchedulerKind::kOnline);
+  cfg.num_users = 2;
+  cfg.horizon_slots = 60;
+  cfg.real_training = true;
+  cfg.model = ModelKind::kLenetSmall;
+  cfg.dataset.classes = 2;
+  cfg.dataset.height = 16;
+  cfg.dataset.width = 16;
+  cfg.dataset.train_per_class = 4;
+  cfg.dataset.test_per_class = 2;
+  EXPECT_NO_THROW((void)run_experiment(cfg));
+}
+
 TEST(Experiment, TracesAreRecorded) {
   auto cfg = fast_config(SchedulerKind::kOnline);
   cfg.record_per_user_gaps = true;

@@ -278,5 +278,14 @@ TEST(EvaluateParams, ScoresAboveChanceAfterTraining) {
   EXPECT_EQ(empty.accuracy, 0.0);
 }
 
+TEST(EvaluateParams, RejectsZeroBatchSize) {
+  // A batch of 0 would never advance through the dataset.
+  const auto ds = tiny_data();
+  util::Rng rng{41};
+  const nn::Network model = nn::make_mlp(ds.train.image_volume(), 8, 3, rng);
+  EXPECT_THROW((void)evaluate_params(model, model.flatten_params(), ds.test, 0),
+               std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace fedco::fl

@@ -99,10 +99,11 @@ void gemm_a_bt(const float* a, const float* b, float* c, std::size_t m,
   packed.resize(k * kLanes);
   for (std::size_t j = 0; j < n; j += kLanes) {
     const std::size_t lanes = std::min(kLanes, n - j);
-    for (std::size_t l = 0; l < kLanes; ++l) {
+    if (lanes < kLanes) std::fill(packed.begin(), packed.end(), 0.0);
+    for (std::size_t l = 0; l < lanes; ++l) {
       const float* brow = b + (j + l) * k;
       for (std::size_t p = 0; p < k; ++p) {
-        packed[p * kLanes + l] = l < lanes ? static_cast<double>(brow[p]) : 0.0;
+        packed[p * kLanes + l] = static_cast<double>(brow[p]);
       }
     }
     for (std::size_t i = 0; i < m; ++i) {

@@ -308,7 +308,8 @@ void check_training_knobs(const ExperimentConfig& cfg) {
 void check_model_takes_dataset(const nn::Network& prototype,
                                const ExperimentConfig& cfg) {
   const data::SynthCifarConfig& d = cfg.dataset;
-  nn::Network probe = prototype;  // forward caches state; keep it off the prototype
+  // A copy: forward caches state, which must stay off the prototype.
+  nn::Network probe = prototype;
   try {
     (void)probe.forward(nn::Tensor{{1, d.channels, d.height, d.width}});
   } catch (const std::invalid_argument& error) {

@@ -65,8 +65,12 @@ void Network::add(std::unique_ptr<Layer> layer) {
 }
 
 Tensor Network::forward(const Tensor& input) {
-  Tensor activation = input;
-  for (auto& layer : layers_) activation = layer->forward(activation);
+  if (layers_.empty()) return input;
+  // The first layer reads the caller's batch directly, without a copy.
+  Tensor activation = layers_.front()->forward(input);
+  for (std::size_t i = 1; i < layers_.size(); ++i) {
+    activation = layers_[i]->forward(activation);
+  }
   return activation;
 }
 

@@ -5,7 +5,6 @@
 // NaN results when B holds ±0, inf or NaN.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstring>
 #include <limits>
 #include <memory>

@@ -12,7 +12,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <vector>
 
 #include "nn/ops.hpp"
 #include "nn/tensor.hpp"

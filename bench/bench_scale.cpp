@@ -15,8 +15,7 @@
 //
 //   bench_scale [--jobs N] [--smoke] [--out PATH] [--seed N]
 //               [--schedulers LIST] [--sizes LIST] [--repeat N]
-//               [--legacy-planner] [--events BOOL]
-//               [--churn-aware BOOL]
+//               [--events BOOL] [--churn-aware BOOL]
 //
 // Ad-hoc studies (ROADMAP campaign sweeps) can override the grid:
 //   --schedulers online,offline     comma-separated scheme names
@@ -27,14 +26,10 @@
 // wall time — the noise-robust throughput estimate the CI regression gate
 // compares (runs are deterministic, so repetition changes nothing else).
 //
-// Offline rows run the PR 5 batched window planner by default — the
-// worker-sharded parallel plan plus the budget-scaled adaptive grid — and
-// are tagged with "planner"/"knapsack_grid" fields so tools/bench_check
-// reports rows measured on a different planner mode or DP grid as SKIP
-// (grid change ≠ regression). --legacy-planner reverts to the serial
-// fixed-grid plan (the bit-identical PR 4 configuration). The parallel
-// plan's worker pool sizes from FEDCO_JOBS (else all cores), independent
-// of --jobs, which stays the campaign-level worker count.
+// Offline rows run the CLI's window planner (the Eq. 8 DP on the default
+// grid) and are tagged with a "knapsack_grid" field so tools/bench_check
+// reports rows measured on a different DP grid as SKIP (grid change ≠
+// regression).
 //
 // --events (default true) additionally re-measures every scheduler row
 // with the PR 8 JSONL event emitter attached at stride 1 (every slot) and
@@ -200,9 +195,8 @@ struct SchedulerRow {
   double user_slots_per_sec = 0.0;
   std::uint64_t updates = 0;
   double energy_kj = 0.0;
-  /// Offline rows only: the planner mode and effective DP grid, so
-  /// bench_check can tell a grid change from a regression.
-  const char* planner = nullptr;
+  /// Offline rows only: the DP grid, so bench_check can tell a grid
+  /// change from a regression (0 = not an offline row).
   std::uint64_t knapsack_grid = 0;
   /// True on rows re-measured with the JSONL event emitter attached
   /// (stride 1). Emitted in the JSON only when true, so pre-tag baselines
@@ -229,7 +223,7 @@ struct FleetRow {
 FleetRow run_fleet(const FleetSize& size,
                    const std::vector<core::SchedulerKind>& schedulers,
                    std::uint64_t seed, std::size_t jobs, std::size_t repeat,
-                   bool legacy_planner, bool churn_rows,
+                   bool churn_rows,
                    const std::string& events_tmp_path,
                    bench::CampaignTotals& totals) {
   core::ExperimentConfig base;
@@ -237,11 +231,6 @@ FleetRow run_fleet(const FleetSize& size,
   // Scheduling-only (real_training stays off): the bench measures the
   // slot-loop and scheduler throughput, not the NN substrate.
   base.record_interval = 60;  // keep 10k-user trace memory modest
-  // The batched window planner (PR 5) is the measured default; offline
-  // rows carry planner/grid tags so the regression gate knows which mode
-  // a number was captured under.
-  base.offline_parallel_plan = !legacy_planner;
-  base.offline_adaptive_grid = !legacy_planner;
   // Stream fleets expand through the SoA arena (O(1) allocations per
   // override concern); the bench never archives its configs, so the
   // arena's not-serializable caveat does not apply. Legacy fleets keep
@@ -297,9 +286,8 @@ FleetRow run_fleet(const FleetSize& size,
     sched.updates = report.results[k].total_updates;
     sched.energy_kj = report.results[k].total_energy_j / 1000.0;
     if (configs[k].scheduler == core::SchedulerKind::kOffline) {
-      sched.planner = legacy_planner ? "serial" : "parallel+adaptive";
       sched.knapsack_grid = static_cast<std::uint64_t>(
-          core::effective_grid(core::make_planner_config(configs[k])));
+          core::make_planner_config(configs[k]).knapsack_grid);
     }
     sched.churn_aware = churn_flags[k] != 0;
     row.schedulers.push_back(sched);
@@ -326,8 +314,7 @@ FleetRow run_fleet(const FleetSize& size,
         if (rep == 0 || seconds < best_seconds) best_seconds = seconds;
       }
       std::remove(events_tmp_path.c_str());
-      SchedulerRow sched = row.schedulers[k];  // copy the tags (planner,
-                                               // grid), re-time
+      SchedulerRow sched = row.schedulers[k];  // copy the tags, re-time
       sched.seconds = best_seconds;
       sched.slots_per_sec = best_seconds > 0.0
                                 ? static_cast<double>(size.horizon) /
@@ -392,8 +379,7 @@ void write_json(const std::string& path, bool smoke, std::size_t jobs,
       json.member("user_slots_per_sec", sched.user_slots_per_sec);
       json.member("updates", sched.updates);
       json.member("energy_kj", sched.energy_kj);
-      if (sched.planner != nullptr) {
-        json.member("planner", sched.planner);
+      if (sched.knapsack_grid != 0) {
         json.member("knapsack_grid", sched.knapsack_grid);
       }
       if (sched.events) {
@@ -425,7 +411,6 @@ int main(int argc, char** argv) {
     const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
     const auto repeat =
         static_cast<std::size_t>(std::max<std::uint64_t>(args.get_count("repeat", 1), 1));
-    const bool legacy_planner = args.get_bool("legacy-planner", false);
     const bool events = args.get_bool("events", true);
     const bool churn_rows = args.get_bool("churn-aware", true);
     const std::string events_tmp_path =
@@ -458,13 +443,17 @@ int main(int argc, char** argv) {
       throw std::invalid_argument{
           "bench_scale: --sizes/--schedulers must not be empty"};
     }
+    // A misspelled flag must not silently run the default sweep.
+    for (const std::string& stray : args.unused()) {
+      std::cerr << "bench_scale: unknown option --" << stray << '\n';
+      return 2;
+    }
 
     bench::CampaignTotals totals;
     std::vector<FleetRow> rows;
     for (const FleetSize& size : sizes) {
       rows.push_back(run_fleet(size, schedulers, seed, jobs, repeat,
-                               legacy_planner, churn_rows,
-                               events_tmp_path, totals));
+                               churn_rows, events_tmp_path, totals));
       print_fleet(rows.back());
     }
     bench::log_campaign(totals);

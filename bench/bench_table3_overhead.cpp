@@ -137,8 +137,9 @@ void BM_OfflineWindowPlan25Users(benchmark::State& state) {
   }
   core::OfflinePlannerConfig cfg;
   cfg.lb = 1000.0;
+  core::OfflinePlanner planner{cfg};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::plan_window(0, users, cfg));
+    benchmark::DoNotOptimize(planner.plan(0, users));
   }
 }
 BENCHMARK(BM_OfflineWindowPlan25Users);

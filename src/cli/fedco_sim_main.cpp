@@ -67,13 +67,6 @@ Scheduling:
   --decision-interval K  evaluate Eq.(21) every K slots      (default 1)
   --offline-window K   offline look-ahead window slots       (default 500)
   --offline-Lb X       offline staleness budget              (default 1000)
-  --offline-incremental B  reuse the previous window's DP prefix rows,
-                       bit-identical (true|false)            (default true)
-  --offline-parallel   shard the window replan (item build + knapsack DP)
-                       across $FEDCO_JOBS workers; deterministic for any
-                       worker count, DP tie-breaks may differ from serial
-  --offline-adaptive-grid  scale the DP grid with the window budget
-                       (coarser, faster; plans may legally differ)
   --scalar-decide      force the per-user scalar decide() path (the
                        batched one-pass evaluation is the default and is
                        bit-identical; this exists for A/B verification)
@@ -187,18 +180,6 @@ core::ExperimentConfig effective_config(const util::ArgParser& args) {
   }
   if (args.has("offline-Lb")) {
     cfg.offline_lb = args.get_double("offline-Lb", cfg.offline_lb);
-  }
-  if (args.has("offline-incremental")) {
-    cfg.offline_incremental_replan =
-        args.get_bool("offline-incremental", cfg.offline_incremental_replan);
-  }
-  if (args.has("offline-parallel")) {
-    cfg.offline_parallel_plan =
-        args.get_bool("offline-parallel", cfg.offline_parallel_plan);
-  }
-  if (args.has("offline-adaptive-grid")) {
-    cfg.offline_adaptive_grid =
-        args.get_bool("offline-adaptive-grid", cfg.offline_adaptive_grid);
   }
   if (args.has("scalar-decide")) {
     cfg.online_batch_decide = !args.get_bool("scalar-decide", false);

@@ -344,9 +344,6 @@ void write_config_members(util::JsonWriter& json,
   json.member("offline_window_slots",
               static_cast<std::int64_t>(config.offline_window_slots));
   json.member("offline_lb", config.offline_lb);
-  json.member("offline_incremental_replan", config.offline_incremental_replan);
-  json.member("offline_parallel_plan", config.offline_parallel_plan);
-  json.member("offline_adaptive_grid", config.offline_adaptive_grid);
   json.member("online_batch_decide", config.online_batch_decide);
   json.member("offline_churn_aware", config.offline_churn_aware);
   json.member("online_churn_aware", config.online_churn_aware);
@@ -524,12 +521,6 @@ ExperimentConfig config_from_json(const std::string& text) {
           config.offline_window_slots = read_int(value, key);
         } else if (key == "offline_lb") {
           config.offline_lb = read_double(value, key);
-        } else if (key == "offline_incremental_replan") {
-          config.offline_incremental_replan = read_bool(value, key);
-        } else if (key == "offline_parallel_plan") {
-          config.offline_parallel_plan = read_bool(value, key);
-        } else if (key == "offline_adaptive_grid") {
-          config.offline_adaptive_grid = read_bool(value, key);
         } else if (key == "online_batch_decide") {
           config.online_batch_decide = read_bool(value, key);
         } else if (key == "offline_churn_aware") {

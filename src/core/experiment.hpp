@@ -105,21 +105,6 @@ struct ExperimentConfig {
   sim::Slot offline_window_slots = 500;
   double offline_lb = 1000.0;
 
-  /// Batched hot-path engine (docs/algorithms.md, docs/performance.md §6).
-  /// Incremental replans reuse the previous window's DP rows for the
-  /// unchanged item prefix — bit-identical to a cold solve, so it defaults
-  /// on (golden-fingerprint guarded). The parallel window plan shards the
-  /// item build and knapsack DP across FEDCO_JOBS workers (deterministic
-  /// for any worker count, but DP tie-breaks may differ from the serial
-  /// solver); the adaptive grid coarsens the DP resolution with the window
-  /// budget (may legally pick a different equal-feasibility plan). Both
-  /// default off: the bit-identical mode of every committed golden.
-  /// Precedence: offline_parallel_plan supersedes the incremental replan
-  /// (the sharded grouped DP keeps no per-item prefix rows to reuse).
-  bool offline_incremental_replan = true;
-  bool offline_parallel_plan = false;
-  bool offline_adaptive_grid = false;
-
   /// Churn-aware offline planning (docs/algorithms.md §"Churn- and
   /// priority-aware modes"): drop knapsack (user, window) pairs whose
   /// co-run would end after the user's known departure, and deweight
@@ -169,7 +154,9 @@ struct ExperimentConfig {
   bool gap_aware_lr = false;
   bool weight_prediction = false;
   std::size_t batch_size = 20;  ///< Sec. VI: batches of 20
-  data::SynthCifarConfig dataset{};
+  /// 16x16 images: the input of the default model (lenet-small), so a
+  /// default config with real_training on passes the setup check.
+  data::SynthCifarConfig dataset{.height = 16, .width = 16};
   double eval_interval_s = 200.0;
 
   /// Network model exchange (Sec. VI: ~2.5 MB model over HTTP). When

@@ -5,12 +5,7 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
-
-namespace fedco::util {
-class ThreadPool;
-}
 
 namespace fedco::core {
 
@@ -33,69 +28,6 @@ struct KnapsackSolution {
 [[nodiscard]] KnapsackSolution solve_knapsack(const std::vector<KnapsackItem>& items,
                                               double capacity,
                                               std::size_t grid = 1000);
-
-/// Class-grouped bounded-knapsack DP — the batched planner's serial core.
-/// Items sharing the exact (discretized weight, value) pair are
-/// interchangeable in Eq. (8), so each class of multiplicity m contributes
-/// ceil(log2 m)+1 binary-split pseudo-items instead of m rows. Window
-/// fleets draw values from a handful of device/app profiles and weights
-/// collapse onto the integer grid, so 10k–100k-item windows shrink to a
-/// few thousand DP rows. Deterministic in the inputs; NOT bit-identical
-/// to solve_knapsack (aggregated values multiply instead of summing, and
-/// among equal-value optima the class assignment selects ascending member
-/// indices).
-[[nodiscard]] KnapsackSolution solve_knapsack_grouped(
-    const std::vector<KnapsackItem>& items, double capacity, std::size_t grid);
-
-/// Parallel variant of the grouped DP: the items are split into `shards`
-/// contiguous blocks (0 = an automatic count derived from items.size()
-/// alone; one block runs the serial grouped core directly), each block's
-/// grouped DP runs as an independent `pool` task, and the block optima
-/// are folded with a max-plus merge over the weight grid (merge
-/// convolutions are themselves sharded across the pool).
-///
-/// Determinism contract: shard boundaries and every tie-break depend only
-/// on (items, capacity, grid, shards) — never on the pool's worker count
-/// or scheduling order — so the returned solution is identical for any
-/// pool size (property-tested across 1/2/8 workers). Like the grouped
-/// core it is NOT guaranteed bit-identical to the serial solver.
-[[nodiscard]] KnapsackSolution solve_knapsack_parallel(
-    const std::vector<KnapsackItem>& items, double capacity, std::size_t grid,
-    util::ThreadPool& pool, std::size_t shards = 0);
-
-/// Incremental re-solver for windowed replans (Sec. IV runs Algorithm 1
-/// every 500 s over a slowly-changing ready set). The solver keeps the
-/// previous call's DP rows checkpointed every kCheckpointStride items;
-/// when the next call shares (capacity, grid) and a bitwise-equal item
-/// prefix, the DP restarts from the last checkpoint inside that prefix
-/// instead of from item 0. Bit-identical to solve_knapsack by
-/// construction — the replayed operations are exactly the ones the full
-/// DP would perform (property-tested in core_knapsack_test).
-class KnapsackSolver {
- public:
-  /// As solve_knapsack(items, capacity, grid), reusing prior DP rows when
-  /// the inputs share a prefix with the previous call.
-  [[nodiscard]] KnapsackSolution solve(const std::vector<KnapsackItem>& items,
-                                       double capacity, std::size_t grid);
-
-  /// Items whose DP rows the last solve() restored instead of recomputing
-  /// (0 on a cold or non-matching call) — observability for tests/benches.
-  [[nodiscard]] std::size_t last_prefix_reused() const noexcept {
-    return last_prefix_reused_;
-  }
-
-  static constexpr std::size_t kCheckpointStride = 256;
-
- private:
-  std::vector<KnapsackItem> items_;
-  double capacity_ = 0.0;
-  std::size_t grid_ = 0;
-  /// checkpoints_[c] = the rolled DP row after the first c * stride items.
-  std::vector<std::vector<double>> checkpoints_;
-  /// Take/skip bits, one row of grid / 64 + 1 words per item.
-  std::vector<std::uint64_t> choice_;
-  std::size_t last_prefix_reused_ = 0;
-};
 
 /// Exhaustive 0-1 knapsack (2^n) for verification; n <= 24.
 [[nodiscard]] KnapsackSolution solve_knapsack_exact(

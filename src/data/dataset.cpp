@@ -52,7 +52,10 @@ std::vector<std::size_t> Dataset::class_histogram() const {
 
 BatchIterator::BatchIterator(std::size_t dataset_size, std::size_t batch_size,
                              util::Rng& rng)
-    : batch_size_(batch_size == 0 ? 1 : batch_size), order_(dataset_size) {
+    : batch_size_(batch_size), order_(dataset_size) {
+  if (batch_size == 0) {
+    throw std::invalid_argument{"BatchIterator: batch_size must be >= 1"};
+  }
   std::iota(order_.begin(), order_.end(), std::size_t{0});
   rng.shuffle(order_);
 }

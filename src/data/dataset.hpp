@@ -63,6 +63,7 @@ class Dataset {
 /// Deterministic shuffled mini-batch index iterator over one epoch.
 class BatchIterator {
  public:
+  /// Throws std::invalid_argument when `batch_size` is 0.
   BatchIterator(std::size_t dataset_size, std::size_t batch_size, util::Rng& rng);
 
   /// Next batch of indices; empty when the epoch is exhausted.

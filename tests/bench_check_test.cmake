@@ -2,8 +2,8 @@
 #   1. A candidate matching the baseline exits 0 and prints OK rows.
 #   2. A candidate with a >20% slots/sec drop exits 1 and prints FAIL.
 #   3. A row whose planner/knapsack_grid metadata changed (the offline
-#      scheme's adaptive-grid tagging) is reported as SKIP — a grid change
-#      is not a regression — even when its throughput cratered.
+#      rows' DP tags) is reported as SKIP — a grid change is not a
+#      regression — even when its throughput cratered.
 #   4. Rows present on only one side degrade to SKIP/NEW notices.
 #   5. A fleet whose "rng" tag flipped (legacy <-> stream, the PR 6
 #      counter-based arrival streams) SKIPs both its timing and RSS rows:

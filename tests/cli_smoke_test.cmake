@@ -4,7 +4,8 @@
 #   3. --save-config / --config round-trip: a saved scenario reloads to the
 #      byte-identical config and reproduces the byte-identical result
 #      document of the flag-built run.
-#   4. An unrecognised option (a probable typo) must exit non-zero.
+#   4. An unrecognised option (a probable typo or a retired flag) must exit
+#      non-zero, naming it.
 #   5. The shipped example scenario specs (incl. the fault-injection
 #      examples: regional_outage, congested_evenings, commute,
 #      trace_replay) run green via --scenario; the --save-result archive
@@ -104,19 +105,24 @@ if(NOT resave_rc EQUAL 0 OR NOT scenario1 STREQUAL scenario2)
 endif()
 
 # --- 4. probable typos are fatal -------------------------------------------
-execute_process(
-  COMMAND ${FEDCO_SIM} --horizons 60 --users 4
-  RESULT_VARIABLE typo_rc
-  ERROR_VARIABLE typo_err
-  OUTPUT_QUIET
-)
-if(typo_rc EQUAL 0)
-  message(FATAL_ERROR "fedco_sim accepted the unknown option --horizons")
-endif()
-string(FIND "${typo_err}" "horizons" typo_mentioned)
-if(typo_mentioned EQUAL -1)
-  message(FATAL_ERROR "unknown-option error did not name the flag:\n${typo_err}")
-endif()
+# A misspelling and the retired planner flags alike: each must be refused
+# by name, never silently ignored.
+foreach(flag horizons offline-incremental offline-parallel
+        offline-adaptive-grid)
+  execute_process(
+    COMMAND ${FEDCO_SIM} --${flag} 60 --users 4
+    RESULT_VARIABLE typo_rc
+    ERROR_VARIABLE typo_err
+    OUTPUT_QUIET
+  )
+  if(typo_rc EQUAL 0)
+    message(FATAL_ERROR "fedco_sim accepted the unknown option --${flag}")
+  endif()
+  string(FIND "${typo_err}" "--${flag}" typo_mentioned)
+  if(typo_mentioned EQUAL -1)
+    message(FATAL_ERROR "unknown-option error did not name --${flag}:\n${typo_err}")
+  endif()
+endforeach()
 
 # --- 5. example scenarios ---------------------------------------------------
 foreach(spec churn heterogeneous_fleet global_diurnal homogeneous_paper

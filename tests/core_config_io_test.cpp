@@ -148,6 +148,19 @@ TEST(ConfigIo, UnknownKeysThrow) {
                std::invalid_argument);
   EXPECT_THROW((void)config_from_json(R"({"num_users":2.5})"),
                std::invalid_argument);
+  // Retired planner selectors are unknown keys like any other: an old
+  // config carrying one is refused by name, never silently ignored.
+  for (const std::string key : {"offline_incremental_replan",
+                                "offline_parallel_plan",
+                                "offline_adaptive_grid"}) {
+    try {
+      (void)config_from_json("{\"" + key + "\":true}");
+      ADD_FAILURE() << key << " was accepted";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string{error.what()}.find(key), std::string::npos)
+          << error.what();
+    }
+  }
 }
 
 TEST(ConfigIo, PerUserEntriesAreStrict) {

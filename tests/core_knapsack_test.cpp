@@ -1,18 +1,17 @@
 // Offline knapsack (Algorithm 1): DP optimality vs exhaustive search,
-// capacity feasibility, greedy comparison, the Lemma 1 lag bound checked
-// against a brute-force enumeration of all decision combinations, and the
-// batched-engine solvers — incremental prefix reuse (bit-identical to the
-// full DP) and the worker-sharded parallel DP (deterministic for any pool
-// size).
+// capacity feasibility, greedy comparison, the row kernel against the
+// textbook DP, the Lemma 1 lag bound checked against a brute-force
+// enumeration of all decision combinations, and the window planner
+// (including reuse of one planner across changing windows).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/knapsack.hpp"
 #include "core/offline_planner.hpp"
 #include "device/profiles.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace fedco::core {
 namespace {
@@ -143,217 +142,7 @@ TEST_P(KnapsackRandom, RowKernelMatchesTheTextbookDp) {
     EXPECT_EQ(full.selected, ref.selected) << "grid " << grid;
     EXPECT_EQ(full.total_value, ref.total_value) << "grid " << grid;
     EXPECT_EQ(full.total_weight, ref.total_weight) << "grid " << grid;
-    KnapsackSolver solver;
-    EXPECT_EQ(solver.solve(items, 20.0, grid).selected, ref.selected)
-        << "grid " << grid;
   }
-}
-
-// ------------------------------------------------- incremental solver
-
-std::vector<KnapsackItem> random_items(util::Rng& rng, std::size_t n) {
-  std::vector<KnapsackItem> items(n);
-  for (auto& item : items) {
-    item.value = rng.uniform(0.0, 50.0);
-    item.weight = rng.uniform(0.0, 10.0);
-  }
-  return items;
-}
-
-class IncrementalKnapsack : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(IncrementalKnapsack, MatchesFullSolveUnderArbitraryMutations) {
-  // The incremental solver must be indistinguishable from a cold
-  // solve_knapsack — identical selections and bitwise-identical totals —
-  // no matter how the item list, capacity, or grid changed since the
-  // previous call (prefix edits, suffix edits, growth, shrinkage).
-  util::Rng rng{GetParam()};
-  KnapsackSolver solver;
-  std::vector<KnapsackItem> items =
-      random_items(rng, 1 + rng.uniform_int(std::uint64_t{600}));
-  double capacity = rng.uniform(5.0, 80.0);
-  std::size_t grid = 200 + rng.uniform_int(std::uint64_t{400});
-  for (int round = 0; round < 6; ++round) {
-    const KnapsackSolution full = solve_knapsack(items, capacity, grid);
-    const KnapsackSolution inc = solver.solve(items, capacity, grid);
-    ASSERT_EQ(inc.selected, full.selected) << "seed=" << GetParam()
-                                           << " round=" << round;
-    EXPECT_EQ(inc.total_value, full.total_value);
-    EXPECT_EQ(inc.total_weight, full.total_weight);
-    // Mutate for the next round.
-    switch (rng.uniform_int(std::uint64_t{5})) {
-      case 0: {  // suffix edit (the case prefix reuse exists for)
-        const std::size_t at = rng.uniform_int(items.size());
-        items.resize(at);
-        const auto grown = random_items(
-            rng, 1 + rng.uniform_int(std::uint64_t{200}));
-        items.insert(items.end(), grown.begin(), grown.end());
-        break;
-      }
-      case 1:  // prefix edit
-        items[rng.uniform_int(items.size())].weight = rng.uniform(0.0, 10.0);
-        break;
-      case 2:  // pure growth
-        items.push_back({rng.uniform(0.0, 50.0), rng.uniform(0.0, 10.0)});
-        break;
-      case 3:  // capacity change invalidates the discretization
-        capacity = rng.uniform(5.0, 80.0);
-        break;
-      default:  // grid change invalidates the discretization
-        grid = 200 + rng.uniform_int(std::uint64_t{400});
-        break;
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalKnapsack,
-                         ::testing::Range<std::uint64_t>(1, 13));
-
-TEST(IncrementalKnapsackReuse, SuffixEditResumesFromACheckpoint) {
-  util::Rng rng{99};
-  std::vector<KnapsackItem> items = random_items(rng, 700);
-  KnapsackSolver solver;
-  (void)solver.solve(items, 40.0, 500);
-  EXPECT_EQ(solver.last_prefix_reused(), 0u);  // cold call
-  // Same inputs: the whole item list is a reusable prefix (rounded down to
-  // the checkpoint stride).
-  (void)solver.solve(items, 40.0, 500);
-  EXPECT_EQ(solver.last_prefix_reused(),
-            (700 / KnapsackSolver::kCheckpointStride) *
-                KnapsackSolver::kCheckpointStride);
-  // A suffix edit keeps every checkpoint before the edit point.
-  items[600].value += 1.0;
-  (void)solver.solve(items, 40.0, 500);
-  EXPECT_EQ(solver.last_prefix_reused(),
-            (600 / KnapsackSolver::kCheckpointStride) *
-                KnapsackSolver::kCheckpointStride);
-  // A capacity change invalidates the discretization entirely.
-  (void)solver.solve(items, 41.0, 500);
-  EXPECT_EQ(solver.last_prefix_reused(), 0u);
-}
-
-// --------------------------------------------------- parallel solver
-
-TEST(ParallelKnapsack, DeterministicAcrossPoolSizes) {
-  // The sharded DP must return the identical solution for any worker
-  // count (FEDCO_JOBS ∈ {1,2,8} in the scheduler-level test): shard
-  // boundaries, merges, and tie-breaks are functions of the inputs alone.
-  // Shard counts are forced >= 2 — 5000 items auto-resolve to a single
-  // shard, which would skip the max-plus merge this test exists to pin
-  // (merge chunking DOES vary with the pool size, so this is the path
-  // where a worker-count dependence could hide).
-  util::Rng rng{7};
-  const std::vector<KnapsackItem> items = random_items(rng, 5000);
-  const double capacity = 60.0;
-  const std::size_t grid = 400;
-  const KnapsackSolution serial = solve_knapsack(items, capacity, grid);
-  for (const std::size_t shards : {2u, 5u}) {
-    KnapsackSolution first;
-    for (const std::size_t threads : {1u, 2u, 8u}) {
-      util::ThreadPool pool{threads};
-      const KnapsackSolution parallel =
-          solve_knapsack_parallel(items, capacity, grid, pool, shards);
-      if (threads == 1) {
-        first = parallel;
-      } else {
-        ASSERT_EQ(parallel.selected, first.selected)
-            << threads << " threads, " << shards << " shards";
-        EXPECT_EQ(parallel.total_value, first.total_value);
-        EXPECT_EQ(parallel.total_weight, first.total_weight);
-      }
-      // Never infeasible, and never worse than the serial optimum beyond
-      // floating-point association noise in the block value sums.
-      EXPECT_LE(parallel.total_weight, capacity + 1e-9);
-      EXPECT_NEAR(parallel.total_value, serial.total_value,
-                  1e-9 * std::max(1.0, serial.total_value));
-    }
-  }
-  // The auto shard count is a pure function of n: below one block's
-  // worth (8192 items) it must match the grouped serial core, any pool.
-  util::ThreadPool pool{8};
-  const KnapsackSolution auto_sharded =
-      solve_knapsack_parallel(items, capacity, grid, pool);
-  const KnapsackSolution grouped =
-      solve_knapsack_grouped(items, capacity, grid);
-  EXPECT_EQ(auto_sharded.selected, grouped.selected);
-}
-
-TEST(ParallelKnapsack, ExplicitShardCountsAgree) {
-  util::Rng rng{21};
-  const std::vector<KnapsackItem> items = random_items(rng, 1500);
-  util::ThreadPool pool{4};
-  const KnapsackSolution serial = solve_knapsack(items, 25.0, 300);
-  for (const std::size_t shards : {2u, 3u, 7u}) {
-    const KnapsackSolution parallel =
-        solve_knapsack_parallel(items, 25.0, 300, pool, shards);
-    EXPECT_LE(parallel.total_weight, 25.0 + 1e-9) << shards << " shards";
-    EXPECT_NEAR(parallel.total_value, serial.total_value,
-                1e-9 * std::max(1.0, serial.total_value))
-        << shards << " shards";
-  }
-}
-
-TEST(ParallelKnapsack, SmallInputsTakeTheGroupedCoreExactly) {
-  // Below one shard's worth of items the parallel entry point is the
-  // serial grouped core — bitwise the same solution regardless of pool.
-  util::Rng rng{3};
-  const std::vector<KnapsackItem> items = random_items(rng, 200);
-  util::ThreadPool pool{8};
-  const KnapsackSolution serial = solve_knapsack(items, 15.0, 250);
-  const KnapsackSolution grouped = solve_knapsack_grouped(items, 15.0, 250);
-  const KnapsackSolution parallel =
-      solve_knapsack_parallel(items, 15.0, 250, pool);
-  EXPECT_EQ(parallel.selected, grouped.selected);
-  EXPECT_EQ(parallel.total_value, grouped.total_value);
-  EXPECT_EQ(parallel.total_weight, grouped.total_weight);
-  EXPECT_LE(parallel.total_weight, 15.0 + 1e-9);
-  EXPECT_NEAR(parallel.total_value, serial.total_value,
-              1e-9 * std::max(1.0, serial.total_value));
-}
-
-class GroupedKnapsack : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(GroupedKnapsack, MatchesThePerItemOptimumOnDuplicatedClasses) {
-  // Grouping + binary splitting reaches exactly the same count
-  // combinations as the per-item DP, so on instances with heavy (units,
-  // value) duplication — the fleet shape it exists for — the optimum
-  // value must agree (up to FP association in the class value products)
-  // and the solution must stay feasible.
-  util::Rng rng{GetParam()};
-  const double values[] = {4.0, 7.5, 11.0, 19.0};  // few classes, like devices
-  std::vector<KnapsackItem> items(50 + rng.uniform_int(std::uint64_t{300}));
-  for (auto& item : items) {
-    item.value = values[rng.uniform_int(std::uint64_t{4})];
-    item.weight = 0.5 * static_cast<double>(1 + rng.uniform_int(std::uint64_t{12}));
-  }
-  const double capacity = rng.uniform(10.0, 60.0);
-  const KnapsackSolution serial = solve_knapsack(items, capacity, 300);
-  const KnapsackSolution grouped = solve_knapsack_grouped(items, capacity, 300);
-  EXPECT_LE(grouped.total_weight, capacity + 1e-9);
-  EXPECT_NEAR(grouped.total_value, serial.total_value,
-              1e-9 * std::max(1.0, serial.total_value));
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, GroupedKnapsack,
-                         ::testing::Range<std::uint64_t>(1, 17));
-
-// ----------------------------------------------------- adaptive grid
-
-TEST(AdaptiveGrid, ScalesWithTheWindowBudget) {
-  OfflinePlannerConfig cfg;
-  cfg.knapsack_grid = 2000;
-  EXPECT_EQ(effective_grid(cfg), 2000u);  // off by default
-  cfg.adaptive_grid = true;
-  cfg.lb = 1000.0;
-  EXPECT_EQ(effective_grid(cfg), 1000u);  // one cell per budget unit
-  cfg.lb = 1e-3;
-  EXPECT_EQ(effective_grid(cfg), OfflinePlannerConfig::kMinAdaptiveGrid);
-  cfg.lb = 1e9;
-  EXPECT_EQ(effective_grid(cfg), 2000u);  // never finer than configured
-  // A configured grid below the adaptive floor wins outright (adaptivity
-  // only coarsens; this must not trip std::clamp's lo <= hi contract).
-  cfg.knapsack_grid = 32;
-  EXPECT_EQ(effective_grid(cfg), 32u);
 }
 
 // ------------------------------------------------------------- Lemma 1
@@ -442,7 +231,7 @@ OfflinePlannerConfig planner_config(double lb) {
 }
 
 TEST(OfflinePlanner, EmptyInput) {
-  const auto plan = plan_window(0, {}, planner_config(100.0));
+  const auto plan = OfflinePlanner{planner_config(100.0)}.plan(0, {});
   EXPECT_TRUE(plan.plans.empty());
 }
 
@@ -456,7 +245,7 @@ TEST(OfflinePlanner, RelaxedBudgetWaitsForApps) {
     users[i].arrival_app = device::AppKind::kMap;
     users[i].momentum_norm = 10.0;
   }
-  const auto plan = plan_window(0, users, planner_config(1000.0));
+  const auto plan = OfflinePlanner{planner_config(1000.0)}.plan(0, users);
   for (std::size_t i = 0; i < users.size(); ++i) {
     EXPECT_EQ(plan.plans[i].action, OfflineAction::kWaitForApp);
     EXPECT_EQ(plan.plans[i].start_slot, *users[i].next_arrival);
@@ -473,7 +262,7 @@ TEST(OfflinePlanner, TightBudgetSchedulesImmediately) {
     u.current_gap = 5.0;
   }
   // Budget too small for anyone's gap weight.
-  const auto plan = plan_window(0, users, planner_config(1e-6));
+  const auto plan = OfflinePlanner{planner_config(1e-6)}.plan(0, users);
   for (const auto& p : plan.plans) {
     EXPECT_EQ(p.action, OfflineAction::kScheduleNow);
   }
@@ -485,7 +274,7 @@ TEST(OfflinePlanner, NoArrivalSelectedMeansDefer) {
   users[1].dev = &device::profile(device::DeviceKind::kHikey970);
   // No arrivals at all: deferring saves (P_b - P_d) * d, still worth picking
   // under a relaxed budget.
-  const auto plan = plan_window(0, users, planner_config(1000.0));
+  const auto plan = OfflinePlanner{planner_config(1000.0)}.plan(0, users);
   for (const auto& p : plan.plans) {
     EXPECT_EQ(p.action, OfflineAction::kDefer);
   }
@@ -506,9 +295,74 @@ TEST(OfflinePlanner, StalenessBudgetIsRespected) {
     u.momentum_norm = rng.uniform(1.0, 15.0);
   }
   const double lb = 30.0;
-  const auto plan = plan_window(0, users, planner_config(lb));
+  const auto plan = OfflinePlanner{planner_config(lb)}.plan(0, users);
   EXPECT_LE(plan.knapsack.total_weight, lb + 1e-9);
   EXPECT_EQ(plan.lag_bounds.size(), users.size());
+}
+
+/// One window's ready users at `begin`: mixed devices, arrivals in and out
+/// of the window, some departing inside it, some VIP/low priorities.
+std::vector<OfflineUserInput> window_users(util::Rng& rng, std::size_t n,
+                                           sim::Slot begin) {
+  std::vector<OfflineUserInput> users(n);
+  for (auto& u : users) {
+    u.dev = &device::profile(static_cast<device::DeviceKind>(
+        rng.uniform_int(device::kDeviceKinds)));
+    if (rng.bernoulli(0.7)) {
+      u.next_arrival =
+          begin + static_cast<sim::Slot>(rng.uniform_int(std::uint64_t{500}));
+      u.arrival_app = static_cast<device::AppKind>(
+          rng.uniform_int(device::kAppKinds));
+    }
+    u.current_gap = rng.uniform(0.0, 20.0);
+    u.momentum_norm = rng.uniform(1.0, 15.0);
+    if (rng.bernoulli(0.3)) {
+      u.leave_slot =
+          begin + static_cast<sim::Slot>(rng.uniform_int(std::uint64_t{700}));
+    }
+    if (rng.bernoulli(0.25)) u.priority = rng.uniform(0.5, 4.0);
+  }
+  return users;
+}
+
+TEST(OfflinePlanner, ReusedPlannerMatchesAFreshOnePerWindow) {
+  // The planner keeps scratch buffers (candidate windows, items, the
+  // lag-query order, churn vetoes) from one replan to the next; none of
+  // it may leak into a later window. Ready sets grow and shrink so stale
+  // tail entries would surface, and a veto mask left over from a larger
+  // window would misplan a smaller one.
+  for (const bool churn : {false, true}) {
+    OfflinePlannerConfig cfg = planner_config(40.0);
+    cfg.churn_aware = churn;
+    OfflinePlanner reused{cfg};
+    util::Rng rng{churn ? 17u : 5u};
+    sim::Slot begin = 0;
+    std::size_t mixed = 0;  // windows that select some users but not all
+    for (const std::size_t n : {30, 120, 7, 0, 64, 200, 3}) {
+      const std::vector<OfflineUserInput> users = window_users(rng, n, begin);
+      const OfflineWindowPlan got = reused.plan(begin, users);
+      const OfflineWindowPlan want = OfflinePlanner{cfg}.plan(begin, users);
+      ASSERT_EQ(got.plans.size(), n);
+      ASSERT_EQ(want.plans.size(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(got.plans[i].action, want.plans[i].action)
+            << "churn " << churn << ", window " << begin << ", user " << i;
+        EXPECT_EQ(got.plans[i].start_slot, want.plans[i].start_slot);
+      }
+      EXPECT_EQ(got.knapsack.selected, want.knapsack.selected);
+      EXPECT_EQ(got.knapsack.total_value, want.knapsack.total_value);
+      EXPECT_EQ(got.knapsack.total_weight, want.knapsack.total_weight);
+      EXPECT_EQ(got.lag_bounds, want.lag_bounds);
+      const auto& sel = got.knapsack.selected;
+      if (std::find(sel.begin(), sel.end(), true) != sel.end() &&
+          std::find(sel.begin(), sel.end(), false) != sel.end()) {
+        ++mixed;
+      }
+      begin += 500;
+    }
+    // The budget binds: plans are real selections, not all-or-nothing.
+    EXPECT_GE(mixed, 4u) << "churn " << churn;
+  }
 }
 
 class LagBoundIndexProperty : public ::testing::TestWithParam<std::uint64_t> {};
@@ -521,7 +375,7 @@ TEST_P(LagBoundIndexProperty, IndexMatchesNaiveScanExactly) {
   util::Rng rng{GetParam()};
   std::vector<UserWindow> users(rng.uniform_int(std::uint64_t{60}) + 2);
   for (auto& u : users) {
-    u.begin = 1000.0;  // plan_window gives every user the same window start
+    u.begin = 1000.0;  // the planner gives every user the same window start
     // Few distinct durations (device/app profiles), arbitrary arrivals.
     u.duration = 50.0 * static_cast<double>(1 + rng.uniform_int(std::uint64_t{5}));
     u.app_arrival =

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <numeric>
 #include <set>
+#include <stdexcept>
+#include <string>
 
 #include "data/dataset.hpp"
 #include "data/partition.hpp"
@@ -87,10 +89,15 @@ TEST(BatchIteratorTest, CoversEveryIndexOnce) {
   EXPECT_TRUE(it.next().empty());
 }
 
-TEST(BatchIteratorTest, ZeroBatchSizeFallsBackToOne) {
+TEST(BatchIteratorTest, ZeroBatchSizeIsRejectedByName) {
   util::Rng rng{5};
-  BatchIterator it{3, 0, rng};
-  EXPECT_EQ(it.batches_per_epoch(), 3u);
+  try {
+    (void)BatchIterator{3, 0, rng};
+    ADD_FAILURE() << "batch size 0 was accepted";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string{error.what()}.find("batch_size"), std::string::npos)
+        << error.what();
+  }
 }
 
 TEST(SynthCifarTest, ShapesAndDeterminism) {

@@ -472,7 +472,7 @@ TEST(ChurnAwareInvariants, PlansNeverCoRunPastTheDeparture) {
       }
     }
   }
-  const OfflineWindowPlan aware = plan_window(0, users, cfg);
+  const OfflineWindowPlan aware = OfflinePlanner{cfg}.plan(0, users);
   std::size_t co_runs = 0;
   for (std::size_t i = 0; i < users.size(); ++i) {
     if (aware.plans[i].action != OfflineAction::kWaitForApp) continue;
@@ -492,7 +492,7 @@ TEST(ChurnAwareInvariants, PlansNeverCoRunPastTheDeparture) {
   // And the property bites: the oblivious planner waits for at least one
   // co-run the departure makes unfinishable.
   cfg.churn_aware = false;
-  const OfflineWindowPlan oblivious = plan_window(0, users, cfg);
+  const OfflineWindowPlan oblivious = OfflinePlanner{cfg}.plan(0, users);
   std::size_t doomed = 0;
   for (std::size_t i = 0; i < users.size(); ++i) {
     if (oblivious.plans[i].action != OfflineAction::kWaitForApp) continue;

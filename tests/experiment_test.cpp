@@ -343,17 +343,29 @@ TEST(Experiment, RejectsNonPositiveOrNonFiniteEvalInterval) {
 }
 
 TEST(Experiment, RejectsDatasetTheModelCannotTake) {
-  // The ExperimentConfig defaults pair lenet-small with 32x32 images, which
-  // its dense head cannot take; the run must stop at setup, by name, not
-  // at the first local epoch.
+  // lenet-small's dense head cannot take 32x32 images; the run must stop
+  // at setup, by name, not at the first local epoch.
   auto cfg = fast_config(SchedulerKind::kOnline);
   cfg.real_training = true;
   cfg.model = ModelKind::kLenetSmall;
+  cfg.dataset.height = 32;
+  cfg.dataset.width = 32;
   expect_rejected(cfg, "dataset images (3x32x32) do not fit model lenet-small");
   cfg.dataset.height = 16;
   cfg.dataset.width = 16;
   cfg.dataset.channels = 1;  // conv1 wants RGB
   expect_rejected(cfg, "dataset images (1x16x16) do not fit model lenet-small");
+}
+
+TEST(Experiment, DefaultConfigWithRealTrainingPassesSetup) {
+  // The default dataset is the default model's input (16x16 images for
+  // lenet-small), so turning real training on needs no other edit. One
+  // slot keeps the run to setup.
+  ExperimentConfig cfg;
+  ASSERT_EQ(cfg.model, ModelKind::kLenetSmall);
+  cfg.real_training = true;
+  cfg.horizon_slots = 1;
+  EXPECT_NO_THROW((void)run_experiment(cfg));
 }
 
 TEST(Experiment, MatchingDatasetAndModelRun) {

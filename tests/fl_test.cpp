@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "data/synth_cifar.hpp"
 #include "fl/client.hpp"
@@ -232,6 +234,23 @@ TEST(FlClientTest, LocalEpochRunsAllBatches) {
   EXPECT_EQ(r.batches, 4u);  // 36 samples / batch 10 -> 4 batches
   EXPECT_GT(r.momentum_norm, 0.0);
   EXPECT_GT(r.mean_loss, 0.0);
+}
+
+TEST(FlClientTest, LocalEpochRejectsBatchSizeZero) {
+  // A zero batch size is a caller error, not a request for batches of 1.
+  const auto ds = tiny_data();
+  util::Rng rng{7};
+  nn::Network model = nn::make_mlp(ds.train.image_volume(), 16, 3, rng);
+  FlClient client{0, ds.train, model, {0.05, 0.9, 0.0, 0.0}, 11};
+  const auto before = client.upload();
+  try {
+    (void)client.train_local_epoch(0);
+    ADD_FAILURE() << "train_local_epoch(0) trained";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string{error.what()}.find("batch_size"), std::string::npos)
+        << error.what();
+  }
+  EXPECT_EQ(client.upload(), before);  // nothing was trained
 }
 
 TEST(FlClientTest, LoadGlobalRoundTrip) {

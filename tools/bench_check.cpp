@@ -5,8 +5,8 @@
 // present in BOTH documents, the candidate's slots_per_sec must not fall
 // more than --max-regression-pct below the baseline's. Rows only one side
 // has (grid changes) are reported and skipped, as are rows whose optional
-// planner metadata ("planner" mode or "knapsack_grid" — the offline
-// scheme's adaptive-grid tagging) differs between the documents: a row
+// planner metadata ("knapsack_grid", or the "planner" mode older
+// documents carry) differs between the documents: a row
 // solved on a different DP grid or planner mode measures different work,
 // so a slowdown there is a grid change, not a regression. The same SKIP
 // logic applies to the fleet-level "rng" tag ("legacy" vs "stream", the

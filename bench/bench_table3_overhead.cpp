@@ -3,7 +3,8 @@
 // Two parts:
 //   1. google-benchmark micro-measurement of one Eq. (21) decision
 //      evaluation (the per-slot work each device performs) and of a full
-//      25-user window plan of the offline knapsack for contrast, plus the
+//      25-user window plan of the offline knapsack for contrast, the
+//      Eq. (8) DP of one 100k-user fleet replan, plus the
 //      on-device training kernels of the paper's Sec. VI model (a
 //      lenet-small batch of 20, an evaluation batch of 100, and the
 //      first convolution's backward pass);
@@ -22,6 +23,7 @@
 #include <vector>
 
 #include "core/experiment.hpp"
+#include "core/knapsack.hpp"
 #include "core/offline_planner.hpp"
 #include "core/online_scheduler.hpp"
 #include "nn/layer.hpp"
@@ -143,6 +145,44 @@ void BM_OfflineWindowPlan25Users(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_OfflineWindowPlan25Users);
+
+/// The Eq. (8) DP of one fleet_100k.json offline replan, in its measured
+/// shape: ~90k items drawn, interleaved, from ~2.5k (units, value)
+/// classes with units in 10-109 of the 2000-cell grid (where that
+/// fleet's replans put almost every item) and 36 distinct savings spread
+/// over 20-2000 J, as its (device, app) pairs give. Most rows repeat a
+/// class whose row came out all-zero, which the solver's screen skips;
+/// `dp_rows` and `take_rows` report the rows it ran and the rows it
+/// stored (docs/performance.md §14).
+void BM_SolveKnapsackFleetShape(benchmark::State& state) {
+  constexpr std::size_t kItems = 90'000;
+  constexpr std::size_t kClasses = 2'500;
+  constexpr std::size_t kGrid = 2000;
+  constexpr double kCapacity = 1000.0;
+  constexpr double kUnit = kCapacity / static_cast<double>(kGrid);
+  util::Rng rng{100'000};
+  std::array<double, 36> savings{};
+  for (double& v : savings) v = 20.0 * std::exp(rng.uniform(0.0, 4.6));
+  std::vector<core::KnapsackItem> classes(kClasses);
+  for (auto& c : classes) {
+    const auto units = 10 + rng.uniform_int(std::uint64_t{100});
+    c.weight = (static_cast<double>(units) - 0.5) * kUnit;
+    c.value = savings[rng.uniform_int(std::uint64_t{savings.size()})];
+  }
+  std::vector<core::KnapsackItem> items(kItems);
+  for (auto& item : items) {
+    item = classes[rng.uniform_int(std::uint64_t{kClasses})];
+  }
+  core::KnapsackSolution solution;
+  for (auto _ : state) {
+    solution = core::solve_knapsack(items, kCapacity, kGrid);
+    benchmark::DoNotOptimize(solution.total_value);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * kItems));
+  state.counters["dp_rows"] = static_cast<double>(solution.dp_rows);
+  state.counters["take_rows"] = static_cast<double>(solution.take_rows);
+}
+BENCHMARK(BM_SolveKnapsackFleetShape)->Unit(benchmark::kMillisecond);
 
 /// A (batch, 3, 16, 16) image batch of N(0, 1) pixels with cyclic labels:
 /// the lenet-small input shape the CLI's real-training default uses.

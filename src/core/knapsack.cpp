@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 
@@ -12,6 +13,12 @@ namespace {
 
 void validate_items(const std::vector<KnapsackItem>& items) {
   for (const auto& item : items) {
+    if (!std::isfinite(item.value)) {
+      throw std::invalid_argument{"solve_knapsack: non-finite value"};
+    }
+    if (!std::isfinite(item.weight)) {
+      throw std::invalid_argument{"solve_knapsack: non-finite weight"};
+    }
     if (item.weight < 0.0 || item.value < 0.0) {
       throw std::invalid_argument{"solve_knapsack: negative value/weight"};
     }
@@ -19,24 +26,28 @@ void validate_items(const std::vector<KnapsackItem>& items) {
 }
 
 /// Discretize: weight w -> ceil(w / capacity * grid) units, so any DP
-/// solution respects the true (continuous) capacity.
+/// solution respects the true (continuous) capacity. A unit count above
+/// `grid` (including one whose quotient overflows to inf) maps to
+/// grid + 1 before the cast: such an item is overweight either way.
 std::vector<std::size_t> weight_units(const std::vector<KnapsackItem>& items,
                                       double capacity, std::size_t grid) {
   const double unit = capacity / static_cast<double>(grid);
+  const auto limit = static_cast<double>(grid);
   std::vector<std::size_t> units(items.size());
   for (std::size_t i = 0; i < items.size(); ++i) {
-    units[i] =
-        static_cast<std::size_t>(std::ceil(items[i].weight / unit - 1e-12));
+    const double q = std::ceil(items[i].weight / unit - 1e-12);
+    units[i] = q <= limit ? static_cast<std::size_t>(q) : grid + 1;
   }
   return units;
 }
 
 /// 64-bit words per take/skip row: bit y of row i is set when item i is
-/// taken at budget y. All rows of one DP live in one flat allocation.
+/// taken at budget y. Only rows with a set bit are stored.
 std::size_t row_words(std::size_t grid) { return grid / 64 + 1; }
 
 /// One Eq. (8) DP row update for item (units_i, value_i), rolled in place
 /// over `best`; writes every word of `row` (the take bits, zero elsewhere).
+/// O(grid) per call, so a DP that runs every row is O(n * grid).
 ///
 /// Each cell is best[y] = max(best[y], best[y - units_i] + value_i) with
 /// its take bit, computed without a data-dependent branch (a select and a
@@ -72,10 +83,51 @@ void dp_item_row(std::vector<double>& best, std::uint64_t* row,
   }
 }
 
+/// The items whose DP row came out all-zero since `best` last changed, as
+/// a Fenwick prefix max of their values over units: dominating(u) is the
+/// largest v0 of a recorded (u0, v0) with u0 <= u. An item (u, v) with
+/// v <= dominating(u) has an all-zero row too (docs/algorithms.md §1):
+/// `best` is non-decreasing in y and IEEE addition is monotone, so
+/// best[y - u] + v <= best[y - u0] + v0 <= best[y] for every y >= u.
+class ZeroRowScreen {
+ public:
+  explicit ZeroRowScreen(std::size_t grid) : tree_(grid + 2, kNone) {}
+
+  /// Largest recorded v0 with u0 <= units (-inf when none).
+  [[nodiscard]] double dominating(std::size_t units) const {
+    double m = kNone;
+    for (std::size_t p = units + 1; p > 0; p &= p - 1) m = std::max(m, tree_[p]);
+    return m;
+  }
+
+  /// Records an item (units, value) whose row set no take bit.
+  void record(std::size_t units, double value) {
+    for (std::size_t p = units + 1; p < tree_.size(); p += p & (~p + 1)) {
+      if (value <= tree_[p]) continue;
+      if (tree_[p] == kNone) touched_.push_back(p);
+      tree_[p] = value;
+    }
+  }
+
+  /// Forgets every record: a row set a bit, so `best` changed.
+  void reset() {
+    for (const std::size_t p : touched_) tree_[p] = kNone;
+    touched_.clear();
+  }
+
+ private:
+  static constexpr double kNone = -std::numeric_limits<double>::infinity();
+  std::vector<double> tree_;  ///< 1-based; slot units + 1
+  std::vector<std::size_t> touched_;
+};
+
 }  // namespace
 
 KnapsackSolution solve_knapsack(const std::vector<KnapsackItem>& items,
                                 double capacity, std::size_t grid) {
+  if (!std::isfinite(capacity)) {
+    throw std::invalid_argument{"solve_knapsack: non-finite capacity"};
+  }
   KnapsackSolution solution;
   solution.selected.assign(items.size(), false);
   if (items.empty() || capacity <= 0.0 || grid == 0) return solution;
@@ -83,17 +135,40 @@ KnapsackSolution solve_knapsack(const std::vector<KnapsackItem>& items,
   const std::vector<std::size_t> units = weight_units(items, capacity, grid);
 
   // S_i(y): best value using items < i with weight budget y (Eq. 8), rolled
-  // into one row; `choice` keeps the take/skip bit for backtracking.
+  // into one row. A row that sets no take bit leaves `best` as it was, so
+  // only rows that take keep their bits (`take_bits`, one run of `words`
+  // per entry of `take_items`); rows the screen proves all-zero never run.
   const std::size_t words = row_words(grid);
   std::vector<double> best(grid + 1, 0.0);
-  std::vector<std::uint64_t> choice(items.size() * words);
+  std::vector<std::uint64_t> take_bits;
+  std::vector<std::size_t> take_items;
+  ZeroRowScreen screen{grid};
   for (std::size_t i = 0; i < items.size(); ++i) {
-    dp_item_row(best, &choice[i * words], units[i], items[i].value, grid);
+    const double value = items[i].value;
+    if (units[i] > grid || value <= 0.0 ||
+        value <= screen.dominating(units[i])) {
+      continue;
+    }
+    const std::size_t at = take_bits.size();
+    take_bits.resize(at + words);
+    dp_item_row(best, &take_bits[at], units[i], value, grid);
+    ++solution.dp_rows;
+    if (std::all_of(take_bits.begin() + static_cast<std::ptrdiff_t>(at),
+                    take_bits.end(), [](std::uint64_t w) { return w == 0; })) {
+      take_bits.resize(at);
+      screen.record(units[i], value);
+    } else {
+      take_items.push_back(i);
+      screen.reset();
+    }
   }
-  // Backtrack from the full budget in decreasing item order.
+  solution.take_rows = take_items.size();
+  // Backtrack from the full budget in decreasing item order; every row
+  // not stored is all-zero, so skipping it is what the full table does.
   std::size_t y = grid;
-  for (std::size_t i = items.size(); i-- > 0;) {
-    if (((choice[i * words + y / 64] >> (y % 64)) & 1U) != 0) {
+  for (std::size_t k = take_items.size(); k-- > 0;) {
+    const std::size_t i = take_items[k];
+    if (((take_bits[k * words + y / 64] >> (y % 64)) & 1U) != 0) {
       solution.selected[i] = true;
       solution.total_value += items[i].value;
       solution.total_weight += items[i].weight;

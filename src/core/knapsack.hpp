@@ -19,12 +19,26 @@ struct KnapsackSolution {
   std::vector<bool> selected;  ///< x_i
   double total_value = 0.0;
   double total_weight = 0.0;
+  /// Diagnostics of solve_knapsack only (0 from the other solvers): the
+  /// DP rows it ran, and the rows among them that set a take bit (the
+  /// only rows whose bits it stores).
+  std::size_t dp_rows = 0;
+  std::size_t take_rows = 0;
 };
 
 /// Exact 0-1 knapsack via DP over a discretized weight grid (Eq. 8).
 /// `capacity` is Lb; `grid` is the number of integer weight units the
 /// capacity is split into (larger = finer approximation; weights are rounded
-/// *up* so the staleness constraint is never violated). O(n * grid).
+/// *up* so the staleness constraint is never violated). Throws
+/// std::invalid_argument naming `value`, `weight` or `capacity` on
+/// non-finite input, and on a negative value or weight.
+///
+/// O(n * grid) in the worst case. A row is skipped when an item run since
+/// `best` last changed had no larger weight, at least its value and an
+/// all-zero row (docs/algorithms.md §1). Take bits are stored only for
+/// rows that take: (rows that set a bit) x (grid / 64 + 1) words, not
+/// n x (grid / 64 + 1). Selections and totals are bit-identical to the
+/// textbook rolled DP that runs and stores every row.
 [[nodiscard]] KnapsackSolution solve_knapsack(const std::vector<KnapsackItem>& items,
                                               double capacity,
                                               std::size_t grid = 1000);

@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include "core/knapsack.hpp"
 #include "core/offline_planner.hpp"
@@ -40,6 +42,41 @@ TEST(Knapsack, OverweightItemNeverSelected) {
   const KnapsackSolution s = solve_knapsack(items, 10.0);
   EXPECT_FALSE(s.selected[0]);
   EXPECT_TRUE(s.selected[1]);
+}
+
+TEST(Knapsack, RejectsNonFiniteInputByName) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const auto message = [](const std::vector<KnapsackItem>& items,
+                          double capacity) -> std::string {
+    try {
+      (void)solve_knapsack(items, capacity);
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "no throw";
+  };
+  for (const double bad : {nan, inf, -inf}) {
+    EXPECT_NE(message({{1.0, 2.0}, {bad, 1.0}}, 10.0).find("value"),
+              std::string::npos);
+    EXPECT_NE(message({{1.0, 2.0}, {1.0, bad}}, 10.0).find("weight"),
+              std::string::npos);
+    EXPECT_NE(message({{1.0, 2.0}}, bad).find("capacity"), std::string::npos);
+  }
+}
+
+TEST(Knapsack, HugeWeightsAreOverweightNotUndefined) {
+  // Unit counts far above the grid (and quotients that overflow to inf)
+  // map to grid + 1: never selected, and the other items plan as usual.
+  const std::vector<KnapsackItem> items{
+      {50.0, 1e300}, {7.0, 4.0}, {40.0, 1e30}, {3.0, 0.0}};
+  for (const double capacity : {10.0, 1e-300}) {
+    const KnapsackSolution s = solve_knapsack(items, capacity, 2000);
+    EXPECT_FALSE(s.selected[0]) << capacity;
+    EXPECT_FALSE(s.selected[2]) << capacity;
+    EXPECT_TRUE(s.selected[3]) << capacity;
+    EXPECT_EQ(s.selected[1], capacity == 10.0);
+  }
 }
 
 TEST(Knapsack, ZeroWeightItemsAreFree) {
@@ -84,8 +121,10 @@ TEST(Knapsack, ExactRejectsLargeInstances) {
 }
 
 // The textbook rolled Eq. (8) DP: a branch per cell and one bool per
-// (item, budget). Same unit rounding, same descending cells, same
-// backtrack — the form the solvers' row kernel must reproduce exactly.
+// (item, budget), every row run and stored. Same unit rounding, same
+// descending cells, same backtrack — the form the solver's row kernel and
+// its zero-row screen must reproduce exactly. dp_rows counts the rows it
+// runs, take_rows the rows with a set bit.
 KnapsackSolution textbook_dp(const std::vector<KnapsackItem>& items,
                              double capacity, std::size_t grid) {
   KnapsackSolution s;
@@ -101,13 +140,17 @@ KnapsackSolution textbook_dp(const std::vector<KnapsackItem>& items,
                                       std::vector<bool>(grid + 1, false));
   for (std::size_t i = 0; i < items.size(); ++i) {
     if (units[i] > grid || items[i].value <= 0.0) continue;
+    ++s.dp_rows;
+    bool took = false;
     for (std::size_t y = grid + 1; y-- > units[i];) {
       const double v = best[y - units[i]] + items[i].value;
       if (v > best[y]) {
         best[y] = v;
         take[i][y] = true;
+        took = true;
       }
     }
+    if (took) ++s.take_rows;
   }
   std::size_t y = grid;
   for (std::size_t i = items.size(); i-- > 0;) {
@@ -142,6 +185,61 @@ TEST_P(KnapsackRandom, RowKernelMatchesTheTextbookDp) {
     EXPECT_EQ(full.selected, ref.selected) << "grid " << grid;
     EXPECT_EQ(full.total_value, ref.total_value) << "grid " << grid;
     EXPECT_EQ(full.total_weight, ref.total_weight) << "grid " << grid;
+  }
+}
+
+TEST_P(KnapsackRandom, ScreenedDpMatchesTheTextbookDp) {
+  // Fleet-shaped windows: thousands of items drawn, interleaved, from a
+  // few dozen (weight, value) classes, so most rows repeat a class whose
+  // row already came out all-zero. The classes include dominance chains
+  // (heavier and no more valuable), equal values at heavier weights (the
+  // screen's v == prefix-max boundary), 1e17-scale values that absorb
+  // small ones, and zero-weight, zero-value and overweight items.
+  util::Rng rng{GetParam() * 104729};
+  const double capacity = 20.0;
+  std::vector<KnapsackItem> classes;
+  const std::size_t base = 12 + rng.uniform_int(std::uint64_t{24});
+  for (std::size_t c = 0; c < base; ++c) {
+    const double kind = rng.uniform(0.0, 1.0);
+    const double value =
+        kind < 0.1    ? 0.0
+        : kind < 0.45 ? 5.0 * static_cast<double>(
+                                  1 + rng.uniform_int(std::uint64_t{4}))
+        : kind < 0.55 ? 1e17 + 16.0 * static_cast<double>(
+                                          rng.uniform_int(std::uint64_t{3}))
+        : kind < 0.65 ? static_cast<double>(1 + rng.uniform_int(std::uint64_t{3}))
+                      : rng.uniform(0.0, 40.0);
+    const double w = rng.uniform(0.0, 1.0);
+    const double weight = w < 0.1    ? 0.0
+                          : w < 0.2  ? rng.uniform(capacity, 1e6)
+                                     : rng.uniform(0.0, capacity);
+    classes.push_back({value, weight});
+    if (rng.bernoulli(0.4)) {
+      // A dominance chain from this class: each link heavier, its value
+      // equal (the boundary) or smaller.
+      KnapsackItem link = classes.back();
+      for (std::size_t k = 0; k < 4; ++k) {
+        link.weight += rng.uniform(0.0, 2.0);
+        if (rng.bernoulli(0.5)) link.value *= rng.uniform(0.5, 1.0);
+        classes.push_back(link);
+      }
+    }
+  }
+  const std::size_t n = 1000 + rng.uniform_int(std::uint64_t{2000});
+  std::vector<KnapsackItem> items(n);
+  for (auto& item : items) {
+    item = classes[rng.uniform_int(std::uint64_t{classes.size()})];
+  }
+  for (const std::size_t grid : {1, 63, 64, 65, 2000}) {
+    const KnapsackSolution ref = textbook_dp(items, capacity, grid);
+    const KnapsackSolution got = solve_knapsack(items, capacity, grid);
+    EXPECT_EQ(got.selected, ref.selected) << "grid " << grid;
+    EXPECT_EQ(got.total_value, ref.total_value) << "grid " << grid;
+    EXPECT_EQ(got.total_weight, ref.total_weight) << "grid " << grid;
+    EXPECT_EQ(got.take_rows, ref.take_rows) << "grid " << grid;
+    EXPECT_LE(got.take_rows, got.dp_rows) << "grid " << grid;
+    EXPECT_LE(got.dp_rows, ref.dp_rows) << "grid " << grid;
+    EXPECT_LT(got.dp_rows, n) << "grid " << grid;
   }
 }
 

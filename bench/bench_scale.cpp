@@ -26,10 +26,8 @@
 // wall time — the noise-robust throughput estimate the CI regression gate
 // compares (runs are deterministic, so repetition changes nothing else).
 //
-// Offline rows run the CLI's window planner (the Eq. 8 DP on the default
-// grid) and are tagged with a "knapsack_grid" field so tools/bench_check
-// reports rows measured on a different DP grid as SKIP (grid change ≠
-// regression).
+// Offline rows run the CLI's window planner (the Eq. 8 DP on its fixed
+// grid).
 //
 // --events (default true) additionally re-measures every scheduler row
 // with the PR 8 JSONL event emitter attached at stride 1 (every slot) and
@@ -195,9 +193,6 @@ struct SchedulerRow {
   double user_slots_per_sec = 0.0;
   std::uint64_t updates = 0;
   double energy_kj = 0.0;
-  /// Offline rows only: the DP grid, so bench_check can tell a grid
-  /// change from a regression (0 = not an offline row).
-  std::uint64_t knapsack_grid = 0;
   /// True on rows re-measured with the JSONL event emitter attached
   /// (stride 1). Emitted in the JSON only when true, so pre-tag baselines
   /// stay comparable; bench_check never compares across the tag.
@@ -285,10 +280,6 @@ FleetRow run_fleet(const FleetSize& size,
         sched.slots_per_sec * static_cast<double>(size.users);
     sched.updates = report.results[k].total_updates;
     sched.energy_kj = report.results[k].total_energy_j / 1000.0;
-    if (configs[k].scheduler == core::SchedulerKind::kOffline) {
-      sched.knapsack_grid = static_cast<std::uint64_t>(
-          core::make_planner_config(configs[k]).knapsack_grid);
-    }
     sched.churn_aware = churn_flags[k] != 0;
     row.schedulers.push_back(sched);
   }
@@ -379,9 +370,6 @@ void write_json(const std::string& path, bool smoke, std::size_t jobs,
       json.member("user_slots_per_sec", sched.user_slots_per_sec);
       json.member("updates", sched.updates);
       json.member("energy_kj", sched.energy_kj);
-      if (sched.knapsack_grid != 0) {
-        json.member("knapsack_grid", sched.knapsack_grid);
-      }
       if (sched.events) {
         json.member("events", true);
       }

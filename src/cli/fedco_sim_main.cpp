@@ -67,7 +67,7 @@ Scheduling:
   --decision-interval K  evaluate Eq.(21) every K slots      (default 1)
   --offline-window K   offline look-ahead window slots       (default 500)
   --offline-Lb X       offline staleness budget              (default 1000)
-  --scalar-decide      force the per-user scalar decide() path (the
+  --scalar-decide      force the online per-user scalar Eq.(21) path (the
                        batched one-pass evaluation is the default and is
                        bit-identical; this exists for A/B verification)
   --churn-aware        departure-aware scheduling: the offline planner
@@ -111,8 +111,9 @@ Environment:
                        one archive per replication (F-r<k>.json)
   --save-summary F     write the run-summary artifact (percentile digests,
                        decision/park/churn counts, wall-time phase
-                       breakdown) without traces; with --replications R > 1
-                       one document per replication (F-r<k>.json)
+                       breakdown) without traces or the per-user fleet;
+                       with --replications R > 1 one document per
+                       replication (F-r<k>.json)
 
 Observability:
   --events F           stream per-slot JSONL events (decisions, updates,
@@ -235,12 +236,12 @@ core::ExperimentConfig effective_config(const util::ArgParser& args) {
         scenario::load_scenario_json(scenario_path);
     // Runs that archive JSON (--save-config / --save-result / --json) embed
     // the expanded per-user fleet in the document, so they materialize the
-    // AoS form; pure simulation runs expand into the SoA fleet arena —
-    // O(1) allocations per override concern, the 1M-user path. Both forms
-    // run bit-identically (user i's overrides are equal).
+    // AoS form; every other run (a --save-summary embeds no fleet) expands
+    // into the SoA fleet arena — O(1) allocations per override concern,
+    // the 1M-user path. Both forms run bit-identically (user i's overrides
+    // are equal).
     const bool archives = args.has("save-config") ||
-                          args.has("save-result") ||
-                          args.has("save-summary") || args.has("json");
+                          args.has("save-result") || args.has("json");
     cfg = archives ? core::apply_scenario(spec, cfg)
                    : core::apply_scenario_arena(spec, cfg);
   }
@@ -313,6 +314,16 @@ core::ResultJsonOptions summary_options() {
   return options;
 }
 
+/// The config a summary artifact embeds: without the per-user fleet, which
+/// would otherwise be nearly all of the file (13 MB of a 100k-user
+/// scenario's summary). The summary is a metrics document; --save-result
+/// is the one that replays.
+core::ExperimentConfig summary_config(const core::ExperimentConfig& cfg) {
+  core::ExperimentConfig out = cfg;
+  out.per_user.clear();
+  return out;
+}
+
 int run_replications(const core::ExperimentConfig& base, std::size_t
                      replications, std::size_t jobs,
                      const std::string& json_path,
@@ -375,7 +386,7 @@ int run_replications(const core::ExperimentConfig& base, std::size_t
   if (!save_summary_path.empty()) {
     for (std::size_t k = 0; k < report.results.size(); ++k) {
       core::write_result_json(replication_path(save_summary_path, k),
-                              configs[k], report.results[k],
+                              summary_config(configs[k]), report.results[k],
                               summary_options());
     }
     std::cout << "run summaries written to "
@@ -487,7 +498,8 @@ int run(const util::ArgParser& args) {
   }
 
   if (!save_summary_path.empty()) {
-    core::write_result_json(save_summary_path, cfg, r, summary_options());
+    core::write_result_json(save_summary_path, summary_config(cfg), r,
+                            summary_options());
     std::cout << "run summary written to " << save_summary_path << '\n';
   }
 

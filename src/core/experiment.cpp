@@ -370,6 +370,13 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
           "run_experiment: record_interval must be positive"};
     }
     check_arrival_knobs(cfg.arrival_probability, cfg.diurnal_swing, "");
+    if (!(cfg.upload_drop_probability >= 0.0 &&
+          cfg.upload_drop_probability <= 1.0)) {
+      // The Bernoulli draw would run 1.5 as 1.0, and the > 0 guard in
+      // front of it runs NaN as 0.
+      throw std::invalid_argument{
+          "run_experiment: upload_drop_probability must be in [0, 1]"};
+    }
     check_lyapunov_knobs(cfg);
     check_training_knobs(cfg);
     if (!cfg.per_user.empty() && cfg.per_user.size() != cfg.num_users) {
@@ -427,20 +434,12 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
 
   // ------------------------------------------------- SchedulerContext
 
-  [[nodiscard]] const ExperimentConfig& config() const noexcept override {
-    return cfg_;
-  }
-
   [[nodiscard]] std::size_t num_users() const noexcept override {
     return users_.size();
   }
 
   [[nodiscard]] bool user_ready(std::size_t user) const override {
     return users_[user].phase == Phase::kReady;
-  }
-
-  [[nodiscard]] bool user_at_barrier(std::size_t user) const override {
-    return users_[user].phase == Phase::kBarrier;
   }
 
   [[nodiscard]] bool user_present(std::size_t user,
@@ -753,6 +752,12 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
       }
       check_arrival_knobs(pu.arrival_probability, pu.diurnal_swing,
                           "per_user ");
+      if (!(std::isfinite(pu.priority) && pu.priority > 0.0)) {
+        // A weight <= 0 flips (or zeroes) the sign of the Eq. (21) H(t)
+        // term and of the offline knapsack staleness weight.
+        throw std::invalid_argument{
+            "run_experiment: per_user priority must be finite and > 0"};
+      }
       if (cfg_.arrival_streams) {
         u.rng = util::Rng{util::stream_key(
             cfg_.seed, i,
@@ -1217,8 +1222,8 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
   /// presence, battery gate) into `due_`, the strategy evaluates them in
   /// order, and each outcome comes back through the DecisionSink (a
   /// schedule is applied before the next user is evaluated, preserving the
-  /// scalar loop's intra-slot expected_lag coupling bit for bit). Users
-  /// whose strategy promises kIdle until a future slot are parked on a
+  /// eager loop's intra-slot expected_lag coupling bit for bit). An idle
+  /// user whose idle_until promise lies past the next slot is parked on a
   /// kWake event instead of being re-consulted every slot.
   void decide_ready(sim::Slot t) {
     if (hot_ready_.empty() && decide_scratch_.empty()) return;
@@ -1287,7 +1292,7 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
     // Screening pushes gated users to next_hot_ before the batch pushes
     // idle ones, so with the gate armed the two runs must be re-merged
     // into the ascending order the next slot's merge loop assumes (the
-    // scalar loop produced it by interleaving).
+    // eager loop produced it by interleaving).
     if (gate_ready_hot_) {
       std::sort(next_hot_.begin(), next_hot_.end(),
                 [](const HotEntry& x, const HotEntry& y) {
@@ -1422,9 +1427,9 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
     settle_screened(i);
     UserState& u = users_[i];
     catch_up(i, cur_ - 1);
-    // Materialize the live session through the decision slot (the scalar
-    // loop did this before consulting decide(); deferring it to the apply
-    // point is invisible — the machine is lazy and monotone).
+    // Materialize the live session through the decision slot (the eager
+    // loop did this before its consult; deferring it to the apply point is
+    // invisible — the machine is lazy and monotone).
     advance_live(u, cur_);
     start_training(i, cur_);
     slot_served_ += 1.0;
@@ -1433,10 +1438,6 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
     if (slot_sampled_) {
       events_->emit(obs::Event::decision(cur_, i, u.training_corun));
     }
-  }
-
-  void idle(std::uint32_t i) override {
-    idle_until(i, scheduler_->ready_parked_until(i, cur_));
   }
 
   void idle_until(std::uint32_t i, sim::Slot until) override {
@@ -1790,8 +1791,8 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
     // exhausted transfer retries). Energy was spent; no update lands. The
     // accumulated gap persists — the user is now genuinely stale. Barrier
     // schemes are exempt: their server re-requests lost uploads (see
-    // Scheduler::reliable_uploads), so they are modelled as reliable.
-    if (!scheduler_->reliable_uploads() &&
+    // Scheduler::uses_round_barrier), so they are modelled as reliable.
+    if (!scheduler_->uses_round_barrier() &&
         cfg_.upload_drop_probability > 0.0 &&
         u.rng.bernoulli(cfg_.upload_drop_probability)) {
       ++result_.dropped_updates;
@@ -1826,14 +1827,12 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
       record_update(index, now_s, lag, gap);
     }
     gap_[index] = 0.0;
-    scheduler_->on_update_applied(index, t);
     begin_transfer(index, t);
   }
 
   void park_at_barrier(std::size_t index, sim::Slot t) {
     UserState& u = users_[index];
     gap_[index] = 0.0;
-    scheduler_->on_update_applied(index, t);
     u.phase = Phase::kBarrier;
     ++barrier_count_;
     sync_active(index, t);

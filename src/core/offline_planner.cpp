@@ -152,7 +152,7 @@ OfflineWindowPlan OfflinePlanner::plan(
     if (u.priority != 1.0) items[i].weight *= u.priority;
     if (items[i].value < 0.0) items[i].value = 0.0;  // co-run never helps here
   }
-  out.knapsack = solve_knapsack(items, config_.lb, config_.knapsack_grid);
+  out.knapsack = solve_knapsack(items, config_.lb, kKnapsackGrid);
 
   for (std::size_t i = 0; i < users.size(); ++i) {
     if (out.knapsack.selected[i]) {

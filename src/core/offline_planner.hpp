@@ -27,6 +27,10 @@ namespace fedco::core {
 
 struct ExperimentConfig;
 
+/// Cells of the Eq. (8) DP's staleness-budget grid, for every window plan
+/// (every offline golden is pinned on it).
+inline constexpr std::size_t kKnapsackGrid = 2000;
+
 struct OfflinePlannerConfig {
   double lb = 1000.0;          ///< staleness budget per window
   sim::Slot window_slots = 500;
@@ -34,7 +38,6 @@ struct OfflinePlannerConfig {
   double eta = 0.05;
   double beta = 0.9;
   double slot_seconds = 1.0;
-  std::size_t knapsack_grid = 2000;
 
   /// Churn-aware planning (ExperimentConfig::offline_churn_aware): co-run
   /// (user, window) pairs whose session would end after the user's known

@@ -4,23 +4,8 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <stdexcept>
 
 namespace fedco::core {
-
-std::vector<OnlineDecisionOutcome> OnlineScheduler::decide_all(
-    const std::vector<const device::DeviceProfile*>& devices,
-    const std::vector<OnlineDecisionInput>& inputs) const {
-  if (devices.size() != inputs.size()) {
-    throw std::invalid_argument{"decide_all: devices/inputs size mismatch"};
-  }
-  std::vector<OnlineDecisionOutcome> out;
-  out.reserve(inputs.size());
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    out.push_back(decide(*devices[i], inputs[i]));
-  }
-  return out;
-}
 
 namespace {
 
@@ -124,19 +109,6 @@ double OnlineScheduler::idle_floor(double p_schedule, double p_idle,
     }
   }
   return from_ordered_key(hi);
-}
-
-OnlineDecisionOutcome OnlineScheduler::decide(
-    const device::DeviceProfile& dev, const OnlineDecisionInput& input) const {
-  // Power levels of the two candidate actions under the current app status
-  // (Eq. 10).
-  const double p_schedule = device::power_w(dev, device::Decision::kSchedule,
-                                            input.app_status, input.app);
-  const double p_idle = device::power_w(dev, device::Decision::kIdle,
-                                        input.app_status, input.app);
-  return evaluate(p_schedule, p_idle, input.current_gap, input.expected_lag,
-                  input.momentum_norm, queues_.q(),
-                  queues_.h() * input.h_scale);
 }
 
 }  // namespace fedco::core

@@ -58,15 +58,17 @@ class OnlineScheduler {
   /// (the distributed implementation of Algorithm 2: each user computes
   /// this locally from its own app status plus the server-supplied lag).
   [[nodiscard]] OnlineDecisionOutcome decide(
-      const device::DeviceProfile& dev, const OnlineDecisionInput& input) const;
-
-  /// Centralized implementation (Sec. V-A): the parameter server evaluates
-  /// all n users in one O(n) pass. Produces exactly the same decisions as
-  /// per-user decide() — the difference is purely where the app-usage
-  /// information lives (the privacy trade-off the paper discusses).
-  [[nodiscard]] std::vector<OnlineDecisionOutcome> decide_all(
-      const std::vector<const device::DeviceProfile*>& devices,
-      const std::vector<OnlineDecisionInput>& inputs) const;
+      const device::DeviceProfile& dev, const OnlineDecisionInput& input) const {
+    // Power levels of the two candidate actions under the current app
+    // status (Eq. 10).
+    const double p_schedule = device::power_w(
+        dev, device::Decision::kSchedule, input.app_status, input.app);
+    const double p_idle = device::power_w(dev, device::Decision::kIdle,
+                                          input.app_status, input.app);
+    return evaluate(p_schedule, p_idle, input.current_gap, input.expected_lag,
+                    input.momentum_norm, queues_.q(),
+                    queues_.h() * input.h_scale);
+  }
 
   /// Batched core of decide() for the one-pass Sec. V-A evaluation: the
   /// caller hoists the slot-invariant queue backlogs and precomputes the
@@ -110,11 +112,6 @@ class OnlineScheduler {
   }
 
   [[nodiscard]] const LyapunovQueues& queues() const noexcept { return queues_; }
-  [[nodiscard]] const OnlineSchedulerConfig& config() const noexcept {
-    return config_;
-  }
-
-  void reset() noexcept { queues_.reset(); }
 
  private:
   /// Eq. (4) momentum amplification (1 - beta^lag) / (1 - beta), memoized

@@ -18,20 +18,20 @@
 //  * Hooks are invoked in a fixed per-slot order: completions (including
 //    `on_user_ready` for users finishing their transfer) -> `on_slot_begin`
 //    -> `idle_screen` (optional per-class idle floors; users below them
-//    are settled idle by the driver) -> one `decide` per remaining due
-//    ready user in user-index order (delivered as a single `decide_batch`
-//    call whose default implementation is exactly that scalar loop) ->
-//    energy/gap accounting -> `on_slot_end`.
+//    are settled idle by the driver) -> one `decide_batch` call over the
+//    remaining due ready users in user-index order -> energy/gap
+//    accounting -> `on_slot_end`.
 //  * `queue_q`/`queue_h` are sampled once per slot after `on_slot_end` and
 //    must be cheap; schemes without Lyapunov queues report 0.
 //  * The driver is event-driven (DESIGN.md §9): per-user state read through
 //    the context accessors is materialized lazily on access, so a strategy
 //    must never assume the driver refreshed the whole fleet this slot —
 //    fleet-wide conclusions come from the O(1) counters (barrier_count,
-//    active_present_count). A ready user whose decide() returned kIdle is
-//    only re-consulted at ready_parked_until(); strategies that can promise
-//    an idle span (a cached window plan, a decision interval) return a
-//    future slot there to take per-slot work off the driver's hot path.
+//    active_present_count). Every idle outcome carries a parking promise
+//    (DecisionSink::idle_until): the driver re-consults the user no earlier
+//    than the promised slot, so strategies that can promise an idle span
+//    (a cached window plan, a decision interval) take per-slot work off the
+//    driver's hot path.
 #pragma once
 
 #include <array>
@@ -61,7 +61,7 @@ struct IdleScreen {
   /// Per-class gap floor: a due user of class c whose gap is below
   /// floor[c] decides kIdle this slot.
   std::array<double, kDecideClasses> floor{};
-  /// What ready_parked_until returns for every screened user this slot.
+  /// The idle_until promise of every screened user this slot.
   sim::Slot parked_until = 0;
 };
 
@@ -73,13 +73,10 @@ class SchedulerContext {
  public:
   virtual ~SchedulerContext() = default;
 
-  [[nodiscard]] virtual const ExperimentConfig& config() const noexcept = 0;
   [[nodiscard]] virtual std::size_t num_users() const noexcept = 0;
 
   /// Is the user idle and eligible for a scheduling decision this slot?
   [[nodiscard]] virtual bool user_ready(std::size_t user) const = 0;
-  /// Is the user parked at the synchronous round barrier?
-  [[nodiscard]] virtual bool user_at_barrier(std::size_t user) const = 0;
   /// Is the user inside its scenario presence window this slot (or still
   /// draining in-flight work)? Homogeneous fleets: always true. Schemes
   /// must not wait on (or plan for) absent users — a churned-out user at a
@@ -116,39 +113,26 @@ class SchedulerContext {
   /// Precondition: `user` must not itself be mid-training-session — the
   /// driver answers from an index of in-flight sessions that would count
   /// the caller's own session. Call it only for users being *considered*
-  /// for scheduling (the decide() path), which is also the only place the
-  /// estimate is meaningful.
+  /// for scheduling (a decide_batch evaluation), which is also the only
+  /// place the estimate is meaningful.
   [[nodiscard]] virtual double expected_lag(std::size_t user,
                                             device::AppStatus status,
                                             device::AppKind app,
                                             sim::Slot t) const = 0;
 
   /// End of the user's current presence window (scenario::kNeverLeaves for
-  /// homogeneous fleets and never-churning users). Defaulted so only the
-  /// churn-aware modes need a driver that answers it.
-  [[nodiscard]] virtual sim::Slot user_leave_slot(std::size_t user) const {
-    (void)user;
-    return scenario::kNeverLeaves;
-  }
+  /// homogeneous fleets and never-churning users).
+  [[nodiscard]] virtual sim::Slot user_leave_slot(std::size_t user) const = 0;
   /// Scheduling weight of the user (PerUserConfig::priority; 1.0 =
-  /// standard). Defaulted for the same reason as user_leave_slot.
-  [[nodiscard]] virtual double user_priority(std::size_t user) const {
-    (void)user;
-    return 1.0;
-  }
+  /// standard).
+  [[nodiscard]] virtual double user_priority(std::size_t user) const = 0;
   /// End slot of a training session started at `t` in the given app
   /// context — t + the user's Table II duration in slots, the same
-  /// arithmetic fill_decide_inputs writes into end_slot[]. Defaulted (no
-  /// duration known -> t) so only churn-aware consumers need an answer.
+  /// arithmetic fill_decide_inputs writes into end_slot[].
   [[nodiscard]] virtual sim::Slot training_end_slot(std::size_t user,
                                                     device::AppStatus status,
                                                     device::AppKind app,
-                                                    sim::Slot t) const {
-    (void)user;
-    (void)status;
-    (void)app;
-    return t;
-  }
+                                                    sim::Slot t) const = 0;
 
   /// Batched decide-input prefill for a due batch at slot `t` (ascending
   /// user order — the decide_batch hot path). For each users[k] the driver
@@ -185,15 +169,10 @@ class SchedulerContext {
   /// each plan-window recompute here (`items` users entered the window
   /// knapsack, `scheduled` received a non-defer plan). The driver counts
   /// it into the run summary and forwards it to an attached event stream;
-  /// write-only instrumentation — the default ignores it, and strategies
-  /// must never branch on any effect of calling it (the events-on ≡
-  /// events-off contract).
+  /// write-only instrumentation — strategies must never branch on any
+  /// effect of calling it (the events-on ≡ events-off contract).
   virtual void note_replan(sim::Slot t, std::size_t items,
-                           std::size_t scheduled) {
-    (void)t;
-    (void)items;
-    (void)scheduled;
-  }
+                           std::size_t scheduled) = 0;
 };
 
 /// One scheduling strategy. Strategies own their scheme state (window
@@ -203,16 +182,11 @@ class Scheduler {
  public:
   virtual ~Scheduler() = default;
 
-  [[nodiscard]] virtual SchedulerKind kind() const noexcept = 0;
-  [[nodiscard]] const char* name() const noexcept {
-    return scheduler_name(kind());
-  }
-
   /// Called once, after the driver created all users, before slot 0.
   virtual void on_experiment_begin(SchedulerContext& ctx) { (void)ctx; }
 
-  /// Called every slot after completions were processed and before any
-  /// decide() call: the place for barrier aggregation and window replans.
+  /// Called every slot after completions were processed and before the
+  /// decide phase: the place for barrier aggregation and window replans.
   virtual void on_slot_begin(sim::Slot t, SchedulerContext& ctx) {
     (void)t;
     (void)ctx;
@@ -226,11 +200,6 @@ class Scheduler {
     (void)ctx;
   }
 
-  /// The per-user scheduling decision for a ready user (the driver applies
-  /// scheme-agnostic gating — e.g. the battery SoC condition — first).
-  [[nodiscard]] virtual device::Decision decide(std::size_t user, sim::Slot t,
-                                                SchedulerContext& ctx) = 0;
-
   /// Driver-owned outcome sink for decide_batch(): the strategy reports
   /// each user's decision through it, in the order evaluated.
   class DecisionSink {
@@ -238,39 +207,25 @@ class Scheduler {
     virtual ~DecisionSink() = default;
     /// Apply a kSchedule decision now: the driver starts the training
     /// session before the strategy evaluates the next user, so later
-    /// evaluations observe it through expected_lag — exactly the scalar
-    /// loop's intra-slot coupling.
+    /// evaluations observe it through expected_lag / lag_count_at (the
+    /// intra-slot coupling of Algorithm 2's sequential evaluation).
     virtual void schedule(std::uint32_t user) = 0;
-    /// Record a kIdle decision; the driver parks or keeps the user hot via
-    /// ready_parked_until().
-    virtual void idle(std::uint32_t user) = 0;
-    /// Record a kIdle decision with the parking promise supplied inline —
-    /// the batched strategies' fast path: `until` must be exactly what
-    /// ready_parked_until(user, t) would return, so the driver skips that
-    /// per-user virtual consult.
+    /// Record a kIdle decision with its parking promise: the strategy
+    /// guarantees the user decides kIdle at every slot s with
+    /// t < s < until, no matter how driver state evolves, so the driver
+    /// skips the user until `until`. t + 1 promises nothing — the user
+    /// stays on the every-slot hot path.
     virtual void idle_until(std::uint32_t user, sim::Slot until) = 0;
   };
 
-  /// Batched decision pass: one call per slot covering every due ready
-  /// user (ascending user order, already driver-gated), replacing the
-  /// per-user decide() consult. The contract is strict sequential
-  /// equivalence — the sink must receive exactly the decisions the scalar
-  /// decide() loop would produce, with sink.schedule() invoked before the
-  /// next user is evaluated (intra-slot expected_lag coupling). The
-  /// default implementation IS that scalar loop, so strategies that don't
-  /// override it (immediate, sync_sgd) are untouched; the online scheme
-  /// overrides it with the one-pass Sec. V-A evaluation over flat arrays.
+  /// The decision pass: one call per slot covering every due ready user
+  /// (ascending user order, already driver-gated — e.g. the battery SoC
+  /// condition). Users are evaluated in order, and sink.schedule() must
+  /// be invoked before the next user is evaluated (intra-slot
+  /// expected_lag coupling).
   virtual void decide_batch(const std::uint32_t* users, std::size_t count,
                             sim::Slot t, SchedulerContext& ctx,
-                            DecisionSink& sink) {
-    for (std::size_t k = 0; k < count; ++k) {
-      if (decide(users[k], t, ctx) == device::Decision::kSchedule) {
-        sink.schedule(users[k]);
-      } else {
-        sink.idle(users[k]);
-      }
-    }
-  }
+                            DecisionSink& sink) = 0;
 
   /// Exact idle screen for the decide phase (docs/algorithms.md §9). The
   /// driver calls it at most once per slot, after on_slot_begin and before
@@ -293,13 +248,6 @@ class Scheduler {
     return false;
   }
 
-  /// Called when an update from `user` was applied to the global model
-  /// (for the barrier scheme: when the user's upload was staged).
-  virtual void on_update_applied(std::size_t user, sim::Slot t) {
-    (void)user;
-    (void)t;
-  }
-
   /// End-of-slot bookkeeping: A(t) users became ready, b(t) were scheduled,
   /// G(t) is the summed per-user gap (the Eq. 15/16 inputs), read in O(1)
   /// from the driver's folded accumulators (core/gap_accrual.hpp).
@@ -311,27 +259,11 @@ class Scheduler {
 
   // ------------------------------------------------------ policy traits
 
-  /// Parking promise for the event-driven driver. Called after decide()
-  /// returned kIdle for a ready `user` at slot `t`: the strategy guarantees
-  /// decide(user, s) == kIdle for every slot t < s < returned slot, no
-  /// matter how driver state evolves. The driver then skips the user until
-  /// that slot. The default (t + 1) promises nothing — the user stays on
-  /// the every-slot hot path.
-  [[nodiscard]] virtual sim::Slot ready_parked_until(std::size_t user,
-                                                     sim::Slot t) const {
-    (void)user;
-    return t + 1;
-  }
-
   /// Do completed sessions park at a round barrier (FedAvg) instead of
-  /// submitting asynchronously?
+  /// submitting asynchronously? A barrier server re-requests lost uploads
+  /// rather than deadlock its round, so barrier uploads are also exempt
+  /// from failure injection.
   [[nodiscard]] virtual bool uses_round_barrier() const noexcept {
-    return false;
-  }
-
-  /// Are uploads exempt from failure injection? (The sync server re-requests
-  /// lost uploads rather than deadlocking its barrier.)
-  [[nodiscard]] virtual bool reliable_uploads() const noexcept {
     return false;
   }
 

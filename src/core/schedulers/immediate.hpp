@@ -8,12 +8,12 @@ namespace fedco::core {
 
 class ImmediateScheduler final : public Scheduler {
  public:
-  [[nodiscard]] SchedulerKind kind() const noexcept override {
-    return SchedulerKind::kImmediate;
+  void decide_batch(const std::uint32_t* users, std::size_t count, sim::Slot t,
+                    SchedulerContext& ctx, DecisionSink& sink) override {
+    (void)t;
+    (void)ctx;
+    for (std::size_t k = 0; k < count; ++k) sink.schedule(users[k]);
   }
-
-  [[nodiscard]] device::Decision decide(std::size_t user, sim::Slot t,
-                                        SchedulerContext& ctx) override;
 };
 
 }  // namespace fedco::core

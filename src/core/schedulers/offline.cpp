@@ -1,5 +1,6 @@
 #include "core/schedulers/offline.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace fedco::core {
@@ -55,31 +56,25 @@ void OfflineScheduler::on_user_ready(std::size_t user, sim::Slot t,
   plans_[user] = OfflineUserPlan{OfflineAction::kDefer, 0};
 }
 
-sim::Slot OfflineScheduler::ready_parked_until(std::size_t user,
-                                               sim::Slot t) const {
-  // Plans only change at the next window boundary (on_slot_begin replan);
-  // until then decide() is a pure function of the cached plan and t.
-  const sim::Slot boundary = (t / window_slots_ + 1) * window_slots_;
-  const OfflineUserPlan& plan = plans_[user];
-  if (plan.action != OfflineAction::kDefer && plan.start_slot > t) {
-    return std::min(boundary, plan.start_slot);
-  }
-  return boundary;
-}
-
-device::Decision OfflineScheduler::decide(std::size_t user, sim::Slot t,
-                                          SchedulerContext& ctx) {
+void OfflineScheduler::decide_batch(const std::uint32_t* users,
+                                    std::size_t count, sim::Slot t,
+                                    SchedulerContext& ctx, DecisionSink& sink) {
   (void)ctx;
-  const OfflineUserPlan& plan = plans_[user];
-  switch (plan.action) {
-    case OfflineAction::kScheduleNow:
-    case OfflineAction::kWaitForApp:
-      return t >= plan.start_slot ? device::Decision::kSchedule
-                                  : device::Decision::kIdle;
-    case OfflineAction::kDefer:
-      return device::Decision::kIdle;
+  // Plans only change at the next window boundary (on_slot_begin replan);
+  // until then each decision is a pure function of the cached plan and t,
+  // so an idle user parks until the boundary, or until its planned start
+  // slot when that comes first.
+  const sim::Slot boundary = (t / window_slots_ + 1) * window_slots_;
+  for (std::size_t k = 0; k < count; ++k) {
+    const OfflineUserPlan& plan = plans_[users[k]];
+    if (plan.action == OfflineAction::kDefer) {
+      sink.idle_until(users[k], boundary);
+    } else if (t >= plan.start_slot) {
+      sink.schedule(users[k]);
+    } else {
+      sink.idle_until(users[k], std::min(boundary, plan.start_slot));
+    }
   }
-  return device::Decision::kIdle;
 }
 
 }  // namespace fedco::core

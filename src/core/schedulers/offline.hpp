@@ -16,10 +16,6 @@ class OfflineScheduler final : public Scheduler {
  public:
   explicit OfflineScheduler(const ExperimentConfig& config);
 
-  [[nodiscard]] SchedulerKind kind() const noexcept override {
-    return SchedulerKind::kOffline;
-  }
-
   /// Users start deferred until the first window plan runs.
   void on_experiment_begin(SchedulerContext& ctx) override;
 
@@ -30,15 +26,13 @@ class OfflineScheduler final : public Scheduler {
   void on_user_ready(std::size_t user, sim::Slot t,
                      SchedulerContext& ctx) override;
 
-  [[nodiscard]] device::Decision decide(std::size_t user, sim::Slot t,
-                                        SchedulerContext& ctx) override;
-
-  /// A cached window plan pins the decision stream: a deferred user idles
-  /// until the next window boundary, a wait-for-app user until its planned
-  /// start slot — so the driver can park ready users instead of
-  /// re-consulting decide() every slot.
-  [[nodiscard]] sim::Slot ready_parked_until(std::size_t user,
-                                             sim::Slot t) const override;
+  /// Follow the cached window plan: schedule once its start slot is
+  /// reached, otherwise idle. The plan pins the decision stream until the
+  /// next window boundary, so an idle user is parked until the boundary
+  /// (deferred) or its planned start slot (wait-for-app) instead of being
+  /// re-consulted every slot.
+  void decide_batch(const std::uint32_t* users, std::size_t count, sim::Slot t,
+                    SchedulerContext& ctx, DecisionSink& sink) override;
 
  private:
   OfflinePlanner planner_;

@@ -5,13 +5,9 @@
 
 namespace fedco::core {
 
-device::Decision OnlineLyapunovScheduler::decide(std::size_t user, sim::Slot t,
-                                                 SchedulerContext& ctx) {
-  // Coarsened scheduling granularity (Sec. VII "Energy Overhead"): between
-  // evaluation slots the device stays idle.
-  if (decision_interval_slots_ > 1 && t % decision_interval_slots_ != 0) {
-    return device::Decision::kIdle;
-  }
+device::Decision OnlineLyapunovScheduler::decide_scalar(std::size_t user,
+                                                        sim::Slot t,
+                                                        SchedulerContext& ctx) {
   OnlineDecisionInput input;
   const auto app = ctx.user_app(user);
   input.app_status = app ? device::AppStatus::kApp : device::AppStatus::kNoApp;
@@ -31,19 +27,25 @@ void OnlineLyapunovScheduler::decide_batch(const std::uint32_t* users,
                                            std::size_t count, sim::Slot t,
                                            SchedulerContext& ctx,
                                            DecisionSink& sink) {
-  if (!batch_enabled_) {
-    Scheduler::decide_batch(users, count, t, ctx, sink);  // scalar reference
-    return;
-  }
-  // The parking promise is uniform across the batch (ready_parked_until
-  // ignores the user), so it is computed once and delivered through
-  // sink.idle_until instead of a per-user virtual consult.
+  // Every idle decision at t carries the same parking promise (the next
+  // evaluation slot), computed once for the batch.
   const sim::Slot until = parked_until(t);
-  // Off-interval slots short-circuit the whole batch: the scalar decide()
-  // returns kIdle for every user without reading any state.
+  // Coarsened scheduling granularity (Sec. VII "Energy Overhead"): between
+  // evaluation slots every device stays idle without reading any state.
   if (decision_interval_slots_ > 1 && t % decision_interval_slots_ != 0) {
     for (std::size_t k = 0; k < count; ++k) {
       sink.idle_until(users[k], until);
+    }
+    return;
+  }
+  if (!batch_enabled_) {
+    // The scalar reference: Eq. (21) per user from the context accessors.
+    for (std::size_t k = 0; k < count; ++k) {
+      if (decide_scalar(users[k], t, ctx) == device::Decision::kSchedule) {
+        sink.schedule(users[k]);
+      } else {
+        sink.idle_until(users[k], until);
+      }
     }
     return;
   }

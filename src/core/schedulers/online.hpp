@@ -2,12 +2,12 @@
 // Algorithm 2 / Eq. (21). The strategy owns the OnlineScheduler (queue
 // state + decision rule) and feeds it per-user inputs assembled from the
 // driver context; the driver stays scheme-agnostic. When
-// config.online_batch_decide is set (the default) the per-slot consults
-// arrive through decide_batch — the paper's centralized Sec. V-A variant:
-// one pass over all due ready users with the queue backlogs, momentum
-// norm, and per-(device, app) power levels hoisted out of the loop.
-// Decisions are bit-identical to the scalar path (same arithmetic, same
-// order, same intra-slot coupling through the DecisionSink).
+// config.online_batch_decide is set (the default) decide_batch runs the
+// paper's centralized Sec. V-A variant: one pass over all due ready users
+// with the queue backlogs, momentum norm, and per-(device, app) power
+// levels hoisted out of the loop. Decisions are bit-identical to the
+// scalar per-user path (same arithmetic, same order, same intra-slot
+// coupling through the DecisionSink).
 #pragma once
 
 #include <array>
@@ -28,8 +28,8 @@ class OnlineLyapunovScheduler final : public Scheduler {
         churn_aware_(config.online_churn_aware) {
     // Eq. (10) power levels of the two candidate actions, precomputed per
     // (device kind, foreground app | no-app): the same device::power_w
-    // values decide() derives per call, evaluated once. Column kAppKinds
-    // is the no-app state (decide() passes kMap there, matching
+    // values the scalar rule derives per call, evaluated once.
+    // Column kAppKinds is the no-app state (kMap there, matching
     // app.value_or in the scalar path).
     for (std::size_t k = 0; k < device::kDeviceKinds; ++k) {
       const device::DeviceProfile& dev =
@@ -49,15 +49,10 @@ class OnlineLyapunovScheduler final : public Scheduler {
     }
   }
 
-  [[nodiscard]] SchedulerKind kind() const noexcept override {
-    return SchedulerKind::kOnline;
-  }
-
-  [[nodiscard]] device::Decision decide(std::size_t user, sim::Slot t,
-                                        SchedulerContext& ctx) override;
-
-  /// The batched Sec. V-A pass (see the file comment). Falls back to the
-  /// scalar base-class loop when config.online_batch_decide is off.
+  /// The batched Sec. V-A pass (see the file comment). Runs the scalar
+  /// per-user reference loop instead when config.online_batch_decide is
+  /// off. Idle users park until the next evaluation slot of the decision
+  /// interval.
   void decide_batch(const std::uint32_t* users, std::size_t count, sim::Slot t,
                     SchedulerContext& ctx, DecisionSink& sink) override;
 
@@ -92,7 +87,7 @@ class OnlineLyapunovScheduler final : public Scheduler {
     }
   }
 
-  /// ||v_t|| is constant across one slot's decide() calls (global updates
+  /// ||v_t|| is constant across one slot's decide phase (global updates
   /// land during completion events, before on_slot_begin), so it is read
   /// once per slot instead of once per ready user.
   void on_slot_begin(sim::Slot t, SchedulerContext& ctx) override {
@@ -102,15 +97,6 @@ class OnlineLyapunovScheduler final : public Scheduler {
 
   void on_slot_end(double arrivals, double served, double sum_gaps) override {
     online_.update_queues(arrivals, served, sum_gaps);
-  }
-
-  /// Coarsened scheduling granularity: between evaluation slots decide()
-  /// returns kIdle without reading any state, so ready users can be parked
-  /// until the next multiple of the decision interval.
-  [[nodiscard]] sim::Slot ready_parked_until(std::size_t user,
-                                             sim::Slot t) const override {
-    (void)user;
-    return parked_until(t);
   }
 
   [[nodiscard]] bool charges_decision_overhead() const noexcept override {
@@ -129,6 +115,12 @@ class OnlineLyapunovScheduler final : public Scheduler {
     double schedule = 0.0;
     double idle = 0.0;
   };
+
+  /// Eq. (21) for one user from the context accessors: the scalar
+  /// (distributed, Algorithm 2) reference path behind
+  /// config.online_batch_decide = false.
+  [[nodiscard]] device::Decision decide_scalar(std::size_t user, sim::Slot t,
+                                               SchedulerContext& ctx);
 
   /// The parking promise of every idle decision at `t`: the next
   /// evaluation slot (uniform across users).

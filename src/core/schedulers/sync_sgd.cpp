@@ -13,14 +13,14 @@ void SyncSgdScheduler::on_slot_begin(sim::Slot t, SchedulerContext& ctx) {
   ctx.aggregate_round(t);
 }
 
-device::Decision SyncSgdScheduler::decide(std::size_t user, sim::Slot t,
-                                          SchedulerContext& ctx) {
-  (void)user;
+void SyncSgdScheduler::decide_batch(const std::uint32_t* users,
+                                    std::size_t count, sim::Slot t,
+                                    SchedulerContext& ctx, DecisionSink& sink) {
   (void)t;
   (void)ctx;
   // Schedule as soon as ready: rounds align on the barrier because all
   // users become ready together after the round's model transfer.
-  return device::Decision::kSchedule;
+  for (std::size_t k = 0; k < count; ++k) sink.schedule(users[k]);
 }
 
 }  // namespace fedco::core

@@ -9,24 +9,17 @@ namespace fedco::core {
 
 class SyncSgdScheduler final : public Scheduler {
  public:
-  [[nodiscard]] SchedulerKind kind() const noexcept override {
-    return SchedulerKind::kSyncSgd;
-  }
-
   /// Aggregate when the whole fleet reached the barrier (stragglers gate
   /// the round, which is exactly the cost the paper holds against FedAvg).
   void on_slot_begin(sim::Slot t, SchedulerContext& ctx) override;
 
-  [[nodiscard]] device::Decision decide(std::size_t user, sim::Slot t,
-                                        SchedulerContext& ctx) override;
+  void decide_batch(const std::uint32_t* users, std::size_t count, sim::Slot t,
+                    SchedulerContext& ctx, DecisionSink& sink) override;
 
+  /// Sessions park at the round barrier. The sync server re-requests lost
+  /// uploads (a dropped upload would deadlock the barrier), so failure
+  /// injection does not apply.
   [[nodiscard]] bool uses_round_barrier() const noexcept override {
-    return true;
-  }
-
-  /// The sync server re-requests lost uploads (a dropped upload would
-  /// deadlock the barrier), so failure injection does not apply.
-  [[nodiscard]] bool reliable_uploads() const noexcept override {
     return true;
   }
 };

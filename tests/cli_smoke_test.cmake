@@ -13,15 +13,17 @@
 #      result document.
 #   6. Observability: --events streams a parseable JSONL file and leaves
 #      the result document byte-identical to the events-off run;
-#      --save-summary writes a summary artifact; an unopenable events path
-#      exits non-zero; --save-result with --replications archives one
-#      document per replication.
+#      --save-summary writes a summary artifact, which embeds no per-user
+#      fleet (alone or next to --json); an unopenable events path exits
+#      non-zero; --save-result with --replications archives one document
+#      per replication.
 #   7. Trace-driven fleets: a missing or malformed --arrival-trace-dir is
 #      rejected up front with exit 2 and a path-bearing message.
 #   8. Out-of-domain knobs exit 1 with an error naming the knob before any
 #      slot runs: a negative count (--users -3 once wrapped into a huge
 #      allocation) and the Eq. (21) knobs (--V nan, --Lb -1, --epsilon -1,
-#      --decision-interval 0).
+#      --decision-interval 0) and the upload loss probability (--drop-p 1.5,
+#      --drop-p nan).
 # Invoked as: cmake -DFEDCO_SIM=<binary> -DFEDCO_SCENARIOS=<dir>
 #             -P cli_smoke_test.cmake
 
@@ -210,6 +212,26 @@ if(NOT summary_doc MATCHES "\"counts\"" OR NOT summary_doc MATCHES "\"timing\"")
   message(FATAL_ERROR "summary artifact is missing counts/timing:\n${summary_doc}")
 endif()
 
+# A scenario run's summary carries no per_user array: a summary-only run
+# expands into the fleet arena, and next to an archiving flag the summary's
+# config copy drops the array (a 100k-user fleet would be megabytes).
+foreach(extra "" "--json;${work_dir}/scenario_full.json")
+  execute_process(
+    COMMAND ${FEDCO_SIM} --scenario ${FEDCO_SCENARIOS}/churn.json
+            --scheduler offline --save-summary ${work_dir}/scenario_summary.json
+            ${extra}
+    RESULT_VARIABLE scen_sum_rc OUTPUT_QUIET ERROR_QUIET
+  )
+  if(NOT scen_sum_rc EQUAL 0)
+    message(FATAL_ERROR "--scenario --save-summary ${extra} exited ${scen_sum_rc}")
+  endif()
+  file(READ ${work_dir}/scenario_summary.json scen_sum_doc)
+  string(FIND "${scen_sum_doc}" "\"per_user\"" per_user_at)
+  if(NOT per_user_at EQUAL -1)
+    message(FATAL_ERROR "--save-summary ${extra} embedded the per_user fleet")
+  endif()
+endforeach()
+
 # An unopenable events path is a hard error, not a silently dropped stream.
 execute_process(
   COMMAND ${FEDCO_SIM} ${obs_flags}
@@ -278,7 +300,9 @@ endif()
 foreach(case "users;-3;--users" "horizon;-5;--horizon" "jobs;-1;--jobs"
         "V;nan;V must be finite" "Lb;-1;lb must be"
         "epsilon;-1;epsilon must be"
-        "decision-interval;0;decision_interval_slots must be")
+        "decision-interval;0;decision_interval_slots must be"
+        "drop-p;1.5;upload_drop_probability must be"
+        "drop-p;nan;upload_drop_probability must be")
   list(GET case 0 flag)
   list(GET case 1 value)
   list(GET case 2 expect)

@@ -237,6 +237,37 @@ TEST(Experiment, RejectsFleetArenaArrivalProbabilityOutsideUnitInterval) {
   }
 }
 
+TEST(Experiment, RejectsUploadDropProbabilityOutsideUnitInterval) {
+  for (const double p : kOutsideUnitInterval) {
+    auto cfg = fast_config(SchedulerKind::kOnline);
+    cfg.upload_drop_probability = p;
+    expect_rejected(cfg, "upload_drop_probability");
+  }
+}
+
+constexpr double kNotAPriority[] = {
+    -4.0, 0.0, std::numeric_limits<double>::quiet_NaN(),
+    std::numeric_limits<double>::infinity()};
+
+TEST(Experiment, RejectsNonPositiveOrNonFinitePerUserPriority) {
+  for (const double weight : kNotAPriority) {
+    auto cfg = fast_config(SchedulerKind::kOnline);
+    cfg.per_user.resize(cfg.num_users);
+    cfg.per_user[3].priority = weight;
+    expect_rejected(cfg, "per_user priority");
+  }
+}
+
+TEST(Experiment, RejectsNonPositiveOrNonFiniteFleetArenaPriority) {
+  for (const double weight : kNotAPriority) {
+    auto cfg = fast_config(SchedulerKind::kOffline);
+    auto fleet = std::make_shared<scenario::FleetArena>(cfg.num_users);
+    fleet->set_priority(7, weight);
+    cfg.fleet = fleet;
+    expect_rejected(cfg, "per_user priority");
+  }
+}
+
 TEST(Experiment, UnitIntervalEdgesOfArrivalKnobsRun) {
   auto cfg = fast_config(SchedulerKind::kOnline);
   cfg.horizon_slots = 300;

@@ -4,23 +4,19 @@
 // committed baseline: for every (num_users, horizon_slots, scheduler) row
 // present in BOTH documents, the candidate's slots_per_sec must not fall
 // more than --max-regression-pct below the baseline's. Rows only one side
-// has (grid changes) are reported and skipped, as are rows whose optional
-// planner metadata ("knapsack_grid", or the "planner" mode older
-// documents carry) differs between the documents: a row
-// solved on a different DP grid or planner mode measures different work,
-// so a slowdown there is a grid change, not a regression. The same SKIP
-// logic applies to the fleet-level "rng" tag ("legacy" vs "stream", the
-// PR 6 counter-based arrival streams): different RNG layouts sample
-// different arrival sequences, so a timing delta there is a mode change,
-// not a regression. Matching prefers the exact (users, horizon, scheduler,
-// events, churn_aware) row. Rows measured with the JSONL event emitter
-// attached (PR 8, "events": true) only compare against other events-on rows:
-// the emitter's serialization + I/O is deliberate work, not a scheduler
-// regression. The departure-aware tag (PR 10, "churn_aware": true) works
-// the same way: a churn-aware row runs a different decision rule (and on
-// churny fleets a different decision stream), so it only compares against
-// other churn-aware rows. CI runs this against the committed smoke baseline on
-// every push (ROADMAP "BENCH trajectory"), so an accidental O(n)
+// has (grid changes) are reported and skipped, as are rows whose
+// fleet-level "rng" tag ("legacy" vs "stream", the PR 6 counter-based
+// arrival streams) differs between the documents: different RNG layouts
+// sample different arrival sequences, so a timing delta there is a mode
+// change, not a regression. Matching prefers the exact (users, horizon,
+// scheduler, events, churn_aware) row. Rows measured with the JSONL event
+// emitter attached (PR 8, "events": true) only compare against other
+// events-on rows: the emitter's serialization + I/O is deliberate work, not a
+// scheduler regression. The departure-aware tag (PR 10, "churn_aware": true)
+// works the same way: a churn-aware row runs a different decision rule (and
+// on churny fleets a different decision stream), so it only compares against
+// other churn-aware rows. CI runs this against the committed smoke baseline
+// on every push (ROADMAP "BENCH trajectory"), so an accidental O(n)
 // regression in the event-driven driver fails loudly instead of rotting
 // silently.
 //
@@ -59,10 +55,6 @@ struct Row {
   std::int64_t horizon = 0;
   std::string scheduler;
   double slots_per_sec = 0.0;
-  /// Optional planner metadata (offline rows since PR 5): rows with
-  /// different modes/grids are incomparable and SKIP instead of FAIL.
-  std::string planner;          ///< "" when absent
-  std::int64_t grid = -1;       ///< -1 when absent
   /// Fleet-level RNG layout tag (since PR 6): "legacy" or "stream",
   /// "" in pre-tag documents. Mismatched layouts SKIP.
   std::string rng;
@@ -156,12 +148,6 @@ Doc rows_of(const JsonValue& doc, const std::string& path) {
       row.rng = stat.rng;
       row.scheduler = name->as_string();
       row.slots_per_sec = slots->as_number();
-      if (const JsonValue* planner = sched.find("planner")) {
-        row.planner = planner->as_string();
-      }
-      if (const JsonValue* grid = sched.find("knapsack_grid")) {
-        row.grid = static_cast<std::int64_t>(grid->as_number());
-      }
       if (const JsonValue* events = sched.find("events")) {
         row.events = events->as_bool();
       }
@@ -246,20 +232,6 @@ int main(int argc, char** argv) {
             row_name(base).c_str(),
             base.rng.empty() ? "-" : base.rng.c_str(),
             cand->rng.empty() ? "-" : cand->rng.c_str());
-        continue;
-      }
-      if (cand->planner != base.planner || cand->grid != base.grid) {
-        // A different planner mode or DP grid does different work per
-        // slot; a throughput delta there is a grid change, not a
-        // regression. Recapture the baseline to start tracking the row.
-        std::printf(
-            "SKIP  %s: planner/grid changed (baseline %s/%lld -> candidate "
-            "%s/%lld) — grid change, not a regression\n",
-            row_name(base).c_str(),
-            base.planner.empty() ? "-" : base.planner.c_str(),
-            static_cast<long long>(base.grid),
-            cand->planner.empty() ? "-" : cand->planner.c_str(),
-            static_cast<long long>(cand->grid));
         continue;
       }
       if (cand->events != base.events) {
